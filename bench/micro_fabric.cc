@@ -63,9 +63,9 @@ BM_FabricConcurrentFlows(benchmark::State &state)
 /**
  * Many independent flows completing at staggered times: the workload
  * that exposed the quadratic completion re-scan (every completion used
- * to walk every remaining flow). The optimized engine visits only the
+ * to walk every remaining flow). The fabric visits only the
  * epsilon-crossing reap candidates; tests/test_core_equiv.cc pins the
- * linear scaling via Fabric::settleVisits(), this pins the wall-clock.
+ * linear scaling via Fabric::settleVisits(), this measures wall-clock.
  */
 void
 BM_FabricStaggeredSettle(benchmark::State &state)

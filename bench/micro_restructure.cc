@@ -122,10 +122,7 @@ BM_DrxSimulatorCached(benchmark::State &state)
  * The DRX micro-op interpreter hot loop in isolation: one machine
  * reused across iterations (resetAlloc instead of re-constructing the
  * modelled DRAM every time, which dominates BM_DrxSimulator), no
- * compiled-kernel cache. This is the arm the CI perf-smoke gates: the
- * same binary runs with DMX_NO_SIMD_DRX=1 for the scalar reference
- * loops and unset for the vectorized ones - outputs and simulated
- * cycles are byte-identical across the two, wall-clock is not.
+ * compiled-kernel cache.
  */
 void
 BM_DrxInterpreterHot(benchmark::State &state)
@@ -144,7 +141,6 @@ BM_DrxInterpreterHot(benchmark::State &state)
         static_cast<std::int64_t>(input.size()));
     state.counters["sim_cycles"] =
         static_cast<double>(last.total_cycles);
-    state.counters["simd"] = drx::simdEnabled() ? 1.0 : 0.0;
     state.SetLabel(kernel.name);
 }
 

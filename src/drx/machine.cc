@@ -1,9 +1,7 @@
 #include "drx/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/dtype.hh"
@@ -16,9 +14,6 @@ namespace dmx::drx
 namespace
 {
 
-// -1 = not yet resolved against the environment.
-std::atomic<int> g_simd{-1};
-
 /// Cycles charged when an injected machine fault traps a program run
 /// (fault detection, pipeline drain and status report to the driver).
 constexpr Cycles machine_fault_trap_cycles = 512;
@@ -29,28 +24,6 @@ constexpr Cycles machine_fault_trap_cycles = 512;
 constexpr Cycles machine_ecc_scrub_cycles = 32;
 
 } // namespace
-
-bool
-simdEnabled()
-{
-    int on = g_simd.load(std::memory_order_relaxed);
-    if (on < 0) {
-        const char *env = std::getenv("DMX_NO_SIMD_DRX");
-        on = (env && env[0] != '\0' && env[0] != '0') ? 0 : 1;
-        int expected = -1;
-        if (!g_simd.compare_exchange_strong(expected, on,
-                                            std::memory_order_relaxed)) {
-            on = expected;
-        }
-    }
-    return on != 0;
-}
-
-void
-setSimdEnabled(bool on)
-{
-    g_simd.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 DrxMachine::DrxMachine(DrxConfig cfg) : _cfg(cfg)
 {
@@ -396,11 +369,6 @@ DrxMachine::run(const Program &program, Tick trace_base)
         return off;
     };
 
-    // Sampled once per run: the vectorized loops below are exact
-    // per-element rewrites (dispatch hoisted, no reassociation), so the
-    // flag only selects code shape, never results.
-    const bool simd = simdEnabled();
-
     std::uint32_t idx[max_loop_dims] = {0, 0, 0};
     for (idx[0] = 0; idx[0] < iters[0]; ++idx[0]) {
         for (idx[1] = 0; idx[1] < iters[1]; ++idx[1]) {
@@ -447,7 +415,7 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                 // copy is bit-identical.
                                 std::memcpy(reg.data() + g * run_len,
                                             _dram.data() + addr, bytes);
-                            } else if (simd) {
+                            } else {
                                 // Dtype dispatch hoisted: each case is
                                 // the same conversion loadAsFloat
                                 // applies per element, as a dense loop.
@@ -495,12 +463,6 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                             src[e]);
                                     break;
                                 }
-                            } else {
-                                for (std::uint32_t e = 0; e < run_len;
-                                     ++e)
-                                    reg[g * run_len + e] = loadAsFloat(
-                                        _dram.data() + addr + e * esz,
-                                        s.cfg.dtype);
                             }
                             res.mem_cycles += memCost(s, addr, bytes);
                             res.bytes_read += bytes;
@@ -542,7 +504,7 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                 std::memcpy(_dram.data() + addr,
                                             reg.data() + g * run_len,
                                             bytes);
-                            } else if (simd) {
+                            } else {
                                 // Dtype dispatch hoisted; identical
                                 // rounding and saturation per element
                                 // as storeFromFloat.
@@ -609,13 +571,6 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                     }
                                     break;
                                 }
-                            } else {
-                                for (std::uint32_t e = 0; e < run_len;
-                                     ++e)
-                                    storeFromFloat(
-                                        _dram.data() + addr + e * esz,
-                                        s.cfg.dtype,
-                                        reg[g * run_len + e]);
                             }
                             res.mem_cycles += memCost(s, addr, bytes);
                             res.bytes_written += bytes;
@@ -765,46 +720,33 @@ DrxMachine::run(const Program &program, Tick trace_base)
                             need_ab(true);
                             _tmp.resize(a.size());
                             const std::size_t n = a.size();
-                            if (simd && n) {
-                                // VFunc hoisted out of the element
-                                // loop: each case is a dense loop over
-                                // the lanes with the identical
-                                // per-element expression.
-                                const float *pa = a.data();
-                                const float *pb = b.data();
-                                float *pt = _tmp.data();
-                                switch (fn) {
-                                  case VFunc::Add:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e] + pb[e];
-                                    break;
-                                  case VFunc::Sub:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e] - pb[e];
-                                    break;
-                                  case VFunc::Mul:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e] * pb[e];
-                                    break;
-                                  case VFunc::Max:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::max(pa[e], pb[e]);
-                                    break;
-                                  default: // Min
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::min(pa[e], pb[e]);
-                                    break;
-                                }
-                            } else {
-                                for (std::size_t e = 0; e < n; ++e) {
-                                    const float x = a[e], y = b[e];
-                                    _tmp[e] = fn == VFunc::Add ? x + y
-                                            : fn == VFunc::Sub ? x - y
-                                            : fn == VFunc::Mul ? x * y
-                                            : fn == VFunc::Max
-                                                  ? std::max(x, y)
-                                                  : std::min(x, y);
-                                }
+                            // VFunc hoisted out of the element
+                            // loop: each case is a dense loop over
+                            // the lanes.
+                            const float *pa = a.data();
+                            const float *pb = b.data();
+                            float *pt = _tmp.data();
+                            switch (fn) {
+                              case VFunc::Add:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e] + pb[e];
+                                break;
+                              case VFunc::Sub:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e] - pb[e];
+                                break;
+                              case VFunc::Mul:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e] * pb[e];
+                                break;
+                              case VFunc::Max:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::max(pa[e], pb[e]);
+                                break;
+                              default: // Min
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::min(pa[e], pb[e]);
+                                break;
                             }
                             std::swap(dst, _tmp);
                             break;
@@ -826,85 +768,53 @@ DrxMachine::run(const Program &program, Tick trace_base)
                           case VFunc::Copy: {
                             _tmp.resize(a.size());
                             const std::size_t n = a.size();
-                            if (simd && n) {
-                                // Same hoisting as the binary ops; the
-                                // libm cases stay scalar calls (the
-                                // compiler will not vectorize them
-                                // without fast-math) but still shed
-                                // the per-element dispatch.
-                                const float *pa = a.data();
-                                float *pt = _tmp.data();
-                                const float imm = ins.imm;
-                                switch (fn) {
-                                  case VFunc::AddS:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e] + imm;
-                                    break;
-                                  case VFunc::MulS:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e] * imm;
-                                    break;
-                                  case VFunc::MaxS:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::max(pa[e], imm);
-                                    break;
-                                  case VFunc::MinS:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::min(pa[e], imm);
-                                    break;
-                                  case VFunc::Abs:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::fabs(pa[e]);
-                                    break;
-                                  case VFunc::Sqrt:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::sqrt(
-                                            std::max(pa[e], 0.0f));
-                                    break;
-                                  case VFunc::Log1p:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::log1p(
-                                            std::max(pa[e], 0.0f));
-                                    break;
-                                  case VFunc::Exp:
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = std::exp(pa[e]);
-                                    break;
-                                  default: // Copy
-                                    for (std::size_t e = 0; e < n; ++e)
-                                        pt[e] = pa[e];
-                                    break;
-                                }
-                            } else {
-                                for (std::size_t e = 0; e < n; ++e) {
-                                    const float x = a[e];
-                                    switch (fn) {
-                                      case VFunc::AddS:
-                                        _tmp[e] = x + ins.imm; break;
-                                      case VFunc::MulS:
-                                        _tmp[e] = x * ins.imm; break;
-                                      case VFunc::MaxS:
-                                        _tmp[e] = std::max(x, ins.imm);
-                                        break;
-                                      case VFunc::MinS:
-                                        _tmp[e] = std::min(x, ins.imm);
-                                        break;
-                                      case VFunc::Abs:
-                                        _tmp[e] = std::fabs(x); break;
-                                      case VFunc::Sqrt:
-                                        _tmp[e] = std::sqrt(
-                                            std::max(x, 0.0f));
-                                        break;
-                                      case VFunc::Log1p:
-                                        _tmp[e] = std::log1p(
-                                            std::max(x, 0.0f));
-                                        break;
-                                      case VFunc::Exp:
-                                        _tmp[e] = std::exp(x); break;
-                                      default:
-                                        _tmp[e] = x; break;
-                                    }
-                                }
+                            // Same hoisting as the binary ops; the
+                            // libm cases stay scalar calls (the
+                            // compiler will not vectorize them
+                            // without fast-math) but still shed
+                            // the per-element dispatch.
+                            const float *pa = a.data();
+                            float *pt = _tmp.data();
+                            const float imm = ins.imm;
+                            switch (fn) {
+                              case VFunc::AddS:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e] + imm;
+                                break;
+                              case VFunc::MulS:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e] * imm;
+                                break;
+                              case VFunc::MaxS:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::max(pa[e], imm);
+                                break;
+                              case VFunc::MinS:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::min(pa[e], imm);
+                                break;
+                              case VFunc::Abs:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::fabs(pa[e]);
+                                break;
+                              case VFunc::Sqrt:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::sqrt(
+                                        std::max(pa[e], 0.0f));
+                                break;
+                              case VFunc::Log1p:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::log1p(
+                                        std::max(pa[e], 0.0f));
+                                break;
+                              case VFunc::Exp:
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = std::exp(pa[e]);
+                                break;
+                              default: // Copy
+                                for (std::size_t e = 0; e < n; ++e)
+                                    pt[e] = pa[e];
+                                break;
                             }
                             std::swap(dst, _tmp);
                             break;

@@ -20,6 +20,12 @@
  * Timing is decoupled access/execute: with double buffering the total
  * cycle count is max(compute, memory) + pipeline fill, modelling the
  * paper's overlapping of the Off-chip engine with the REs.
+ *
+ * The interpreter hoists the VFunc/dtype dispatch out of its element
+ * loops, so each op is a dense, branch-free loop the compiler can
+ * autovectorize across the RE lanes. No expression is reassociated
+ * (reductions stay sequential); tests/test_core_equiv.cc checks the
+ * outputs byte-for-byte against restructure::executeOnCpu.
  */
 
 #ifndef DMX_DRX_MACHINE_HH
@@ -101,23 +107,6 @@ struct RunResult
         return ClockDomain{freq_hz}.cyclesToTicks(total_cycles);
     }
 };
-
-/**
- * @return whether the vectorized interpreter inner loops are active.
- *
- * The vectorized loops hoist the VFunc/dtype dispatch out of the
- * element loop so each case is a dense, branch-free loop the compiler
- * autovectorizes across the 128 RE lanes. No expression is
- * reassociated (reductions stay sequential), so outputs are
- * byte-identical and cycle counts tick-identical to the scalar
- * reference - the differential sweep in tests/test_core_equiv.cc
- * asserts exactly that. First call consults the DMX_NO_SIMD_DRX
- * environment variable (set and non-empty disables SIMD).
- */
-bool simdEnabled();
-
-/** Override the SIMD flag (differential tests). */
-void setSimdEnabled(bool on);
 
 /**
  * One DRX device: private DRAM plus the execution pipeline.

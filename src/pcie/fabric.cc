@@ -20,8 +20,7 @@ constexpr double completion_epsilon = 1.0;
 } // namespace
 
 Fabric::Fabric(sim::EventQueue &eq, std::string name, Params params)
-    : sim::SimObject(eq, std::move(name)), _params(params),
-      _opt(sim::coreMode() == sim::CoreMode::Optimized)
+    : sim::SimObject(eq, std::move(name)), _params(params)
 {
 }
 
@@ -114,9 +113,8 @@ Fabric::cachedPath(NodeId src, NodeId dst)
 
     auto entry = std::make_shared<PathEntry>();
     entry->path = findPath(src, dst);
-    // Pre-sum the interior traversal fees exactly as the legacy latency
-    // loop charges them: one fee per interior node of the path. Integer
-    // tick addition, so the pre-summed total is the identical value.
+    // Pre-sum the interior traversal fees: one fee per switch or root
+    // complex strictly inside the path.
     NodeId cur = src;
     for (std::size_t i = 0; i + 1 < entry->path.size(); ++i) {
         const Link &link = _links[entry->path[i].link];
@@ -170,7 +168,7 @@ FlowId
 Fabric::startFlow(NodeId src, NodeId dst, std::uint64_t bytes,
                   FlowCallback callback)
 {
-    // The status-blind legacy entry point: completion means delivery.
+    // The status-blind entry point: completion means delivery.
     return startFlowChecked(
         src, dst, bytes,
         [callback = std::move(callback)](bool ok) {
@@ -208,39 +206,6 @@ Fabric::startDescriptorFlow(const DmaDescriptor &desc,
                              std::move(callback));
 }
 
-void
-Fabric::startDescriptorChain(std::vector<DmaDescriptor> chain,
-                             FlowStatusCallback done)
-{
-    if (chain.empty()) {
-        if (done)
-            done(true);
-        return;
-    }
-    ++_descriptor_chains;
-    if (auto *tb = trace::active())
-        tb->count("fabric.descriptor_chains", now());
-    // Shared walk state: each completion launches the next descriptor
-    // from inside the previous one's status callback, so the engine
-    // never consults the host between hops.
-    auto descs = std::make_shared<std::vector<DmaDescriptor>>(
-        std::move(chain));
-    auto step = std::make_shared<std::function<void(std::size_t)>>();
-    *step = [this, descs, step, done = std::move(done)](std::size_t i) {
-        startDescriptorFlow(
-            (*descs)[i], /*first_descriptor=*/i == 0,
-            [this, descs, step, done, i](bool ok) {
-                if (!ok || i + 1 == descs->size()) {
-                    if (done)
-                        done(ok);
-                    return;
-                }
-                (*step)(i + 1);
-            });
-    };
-    (*step)(0);
-}
-
 FlowId
 Fabric::startFlowInternal(NodeId src, NodeId dst, std::uint64_t bytes,
                           Tick setup, FlowStatusCallback callback)
@@ -264,43 +229,21 @@ Fabric::startFlowInternal(NodeId src, NodeId dst, std::uint64_t bytes,
         return _next_flow++;
     }
 
-    if (_opt) {
-        return startFlowOpt(src, dst, bytes, setup, std::move(callback),
-                            action == fault::FlowAction::Corrupt);
-    }
-
-    Flow flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.remaining = static_cast<double>(bytes);
-    flow.trace_begin = now();
-    flow.bytes = bytes;
-    flow.path = findPath(src, dst);
-    if (flow.path.empty())
+    const auto &path = cachedPath(src, dst);
+    if (path->path.empty())
         dmx_fatal("startFlow: no path between %s and %s",
                   _nodes[src].name.c_str(), _nodes[dst].name.c_str());
-    flow.callback = std::move(callback);
-    if (action == fault::FlowAction::Corrupt) {
-        flow.corrupt = true;
+    const bool corrupt = action == fault::FlowAction::Corrupt;
+    if (corrupt) {
         ++_corrupted_flows;
         if (auto *tb = trace::active())
             tb->count("fabric.corrupted", now());
     }
 
     // Start latency: the setup fee (full DMA-engine setup, or a linked
-    // descriptor fetch) plus one traversal fee per interior node.
-    Tick latency = setup;
-    NodeId cur = src;
-    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-        const Link &link = _links[flow.path[i].link];
-        cur = flow.path[i].forward ? link.b : link.a;
-        if (_nodes[cur].kind == NodeKind::Switch) {
-            latency += _params.switch_latency;
-            ++_switch_traversals;
-        } else if (_nodes[cur].kind == NodeKind::RootComplex) {
-            latency += _params.root_latency;
-        }
-    }
+    // descriptor fetch) plus the pre-summed interior traversal fees.
+    Tick latency = setup + path->interior_latency;
+    _switch_traversals += path->n_switches;
 
     // Link-CRC replay: wire errors detected by the link CRC are
     // recovered by deterministic TLP retransmission before streaming
@@ -319,55 +262,9 @@ Fabric::startFlowInternal(NodeId src, NodeId dst, std::uint64_t bytes,
             latency += extra;
         }
     }
-    flow.eligible_at = now() + latency;
     _total_bytes += bytes;
 
     advanceProgress();
-    const FlowId id = _next_flow++;
-    _flows.emplace(id, std::move(flow));
-    if (_flows.size() > _peak_active_flows)
-        _peak_active_flows = _flows.size();
-    solveRates();
-    scheduleNextCompletion();
-    return id;
-}
-
-FlowId
-Fabric::startFlowOpt(NodeId src, NodeId dst, std::uint64_t bytes,
-                     Tick setup, FlowStatusCallback callback, bool corrupt)
-{
-    const auto &path = cachedPath(src, dst);
-    if (path->path.empty())
-        dmx_fatal("startFlow: no path between %s and %s",
-                  _nodes[src].name.c_str(), _nodes[dst].name.c_str());
-    if (corrupt) {
-        ++_corrupted_flows;
-        if (auto *tb = trace::active())
-            tb->count("fabric.corrupted", now());
-    }
-
-    // Same latency as the legacy interior-node walk: the PathEntry
-    // pre-summed the traversal fees (integer tick arithmetic).
-    Tick latency = setup + path->interior_latency;
-    _switch_traversals += path->n_switches;
-
-    if (_crc_hook) {
-        if (const unsigned replays = _crc_hook(src, dst, bytes)) {
-            const Tick extra = replays * _params.crc_replay_latency;
-            _crc_replays += replays;
-            if (auto *tb = trace::active()) {
-                tb->span(trace::Category::Integrity, "crc_replay",
-                         "fabric", now() + latency,
-                         now() + latency + extra, replays);
-                tb->count("fabric.crc_replays", now(),
-                          static_cast<double>(replays));
-            }
-            latency += extra;
-        }
-    }
-    _total_bytes += bytes;
-
-    advanceProgressOpt();
     const FlowId id = _next_flow++;
 
     std::uint32_t slot;
@@ -410,51 +307,22 @@ Fabric::startFlowOpt(NodeId src, NodeId dst, std::uint64_t bytes,
         _reap_cand.push_back(slot);
     }
 
-    solveRatesOpt();
-    scheduleNextCompletionOpt();
+    solveRates();
+    scheduleNextCompletion();
     return id;
 }
 
 void
 Fabric::advanceProgress()
 {
-    if (_opt) {
-        advanceProgressOpt();
-        return;
-    }
     const Tick t = now();
     if (t <= _last_update) {
         _last_update = t;
         return;
     }
     const double dt_sec = ticksToSeconds(t - _last_update);
-    for (auto &[id, flow] : _flows) {
-        if (flow.rate <= 0)
-            continue;
-        const double moved =
-            std::min(flow.remaining, flow.rate * dt_sec);
-        flow.remaining -= moved;
-        for (const DirectedLink &dl : flow.path) {
-            LinkStats &ls = _link_stats[dl.link];
-            ls.bytes += static_cast<std::uint64_t>(moved);
-            ls.busy_byte_seconds +=
-                (flow.rate / _links[dl.link].capacity) * dt_sec;
-        }
-    }
-    _last_update = t;
-}
-
-void
-Fabric::advanceProgressOpt()
-{
-    const Tick t = now();
-    if (t <= _last_update) {
-        _last_update = t;
-        return;
-    }
-    const double dt_sec = ticksToSeconds(t - _last_update);
-    // FlowId-ascending, matching the legacy map walk: link busy
-    // integrals accumulate in the identical order.
+    // FlowId-ascending: link busy integrals accumulate in flow start
+    // order.
     for (const std::uint32_t slot : _active) {
         const double rate = _f_rate[slot];
         if (rate <= 0)
@@ -470,7 +338,7 @@ Fabric::advanceProgressOpt()
         }
         // Epsilon crossing: this flow is done streaming - queue it for
         // the reaper so completion checks never rescan the whole flow
-        // table (the legacy O(n^2) settle behavior).
+        // table.
         if (remaining <= completion_epsilon && !_f_cold[slot].in_reap) {
             _f_cold[slot].in_reap = true;
             _reap_cand.push_back(slot);
@@ -482,94 +350,12 @@ Fabric::advanceProgressOpt()
 void
 Fabric::solveRates()
 {
-    if (_opt) {
-        solveRatesOpt();
-        return;
-    }
-    // Progressive filling (max-min fairness). Each *direction* of a link
-    // has the full link capacity (PCIe is full duplex).
-    struct DirCap
-    {
-        double residual;
-        std::vector<FlowId> users; // unfrozen flows crossing this direction
-    };
-    std::map<DirectedLink, DirCap> caps;
-
-    const Tick t = now();
-    std::vector<FlowId> unfrozen;
-    for (auto &[id, flow] : _flows) {
-        flow.rate = 0;
-        if (flow.eligible_at > t || flow.remaining <= 0)
-            continue;
-        unfrozen.push_back(id);
-        for (const DirectedLink &dl : flow.path) {
-            auto [it, fresh] = caps.try_emplace(
-                dl, DirCap{_links[dl.link].capacity, {}});
-            it->second.users.push_back(id);
-            (void)fresh;
-        }
-    }
-
-    std::vector<bool> frozen_flag; // parallel to unfrozen order
-    std::map<FlowId, bool> frozen;
-    for (FlowId id : unfrozen)
-        frozen[id] = false;
-    (void)frozen_flag;
-
-    std::size_t remaining_flows = unfrozen.size();
-    while (remaining_flows > 0) {
-        // Find the tightest directed link.
-        double min_share = std::numeric_limits<double>::infinity();
-        for (auto &[dl, cap] : caps) {
-            std::size_t live = 0;
-            for (FlowId id : cap.users)
-                if (!frozen[id])
-                    ++live;
-            if (live == 0)
-                continue;
-            min_share = std::min(min_share,
-                                 cap.residual / static_cast<double>(live));
-        }
-        if (!std::isfinite(min_share))
-            break; // no constrained flows left (should not happen)
-
-        // Raise every unfrozen flow by min_share, charge links, freeze
-        // flows sitting on now-saturated links.
-        for (auto &[dl, cap] : caps) {
-            std::size_t live = 0;
-            for (FlowId id : cap.users)
-                if (!frozen[id])
-                    ++live;
-            cap.residual -= min_share * static_cast<double>(live);
-        }
-        for (FlowId id : unfrozen) {
-            if (!frozen[id])
-                _flows.at(id).rate += min_share;
-        }
-        for (auto &[dl, cap] : caps) {
-            if (cap.residual > 1e-3)
-                continue;
-            for (FlowId id : cap.users) {
-                if (!frozen[id]) {
-                    frozen[id] = true;
-                    --remaining_flows;
-                }
-            }
-        }
-    }
-}
-
-void
-Fabric::solveRatesOpt()
-{
-    // Bit-identical progressive filling over dense arrays. Safe because
-    // the values the legacy solver produces are independent of its map
-    // iteration orders: the per-round minimum is a min over finite
-    // doubles (any order), each cap's residual sequence and each flow's
-    // rate sequence are the per-object round sequence (same sequence
-    // here), and the freeze set per round is determined by values
-    // alone. Live counts are maintained incrementally instead of
-    // recounted, which is the same integer.
+    // Progressive filling (max-min fairness) over dense arrays. Each
+    // *direction* of a link has the full link capacity (PCIe is full
+    // duplex). Every round raises all unfrozen flows by the tightest
+    // direction's fair share, charges the directions they cross, and
+    // freezes the flows on directions that saturated. Live counts are
+    // maintained incrementally rather than recounted each round.
     const std::size_t ncaps = _links.size() * 2;
     if (_cap_residual.size() < ncaps) {
         _cap_residual.resize(ncaps);
@@ -651,40 +437,6 @@ Fabric::solveRatesOpt()
 void
 Fabric::scheduleNextCompletion()
 {
-    if (_opt) {
-        scheduleNextCompletionOpt();
-        return;
-    }
-    _pending_check.cancel();
-    if (_flows.empty())
-        return;
-
-    const Tick t = now();
-    Tick earliest = max_tick;
-    for (const auto &[id, flow] : _flows) {
-        Tick candidate;
-        if (flow.eligible_at > t) {
-            candidate = flow.eligible_at;
-        } else if (flow.remaining <= completion_epsilon) {
-            candidate = t;
-        } else if (flow.rate > 0) {
-            const double sec = flow.remaining / flow.rate;
-            candidate = t + secondsToTicks(sec) + 1;
-        } else {
-            continue; // stalled; will be re-solved on the next change
-        }
-        earliest = std::min(earliest, candidate);
-    }
-    if (earliest == max_tick)
-        return;
-    earliest = std::max(earliest, t + 1);
-    _pending_check = eventq().schedule(
-        earliest, [this] { onCompletionCheck(); });
-}
-
-void
-Fabric::scheduleNextCompletionOpt()
-{
     _pending_check.cancel();
     if (_active.empty())
         return;
@@ -715,62 +467,13 @@ Fabric::scheduleNextCompletionOpt()
 void
 Fabric::onCompletionCheck()
 {
-    if (_opt) {
-        onCompletionCheckOpt();
-        return;
-    }
     advanceProgress();
 
-    // Collect finished flows first, then fire callbacks after the fabric
-    // state is consistent (callbacks often start follow-on flows).
-    std::vector<std::pair<FlowStatusCallback, bool>> done;
-    const Tick t = now();
-    _settle_visits += _flows.size();
-    for (auto it = _flows.begin(); it != _flows.end();) {
-        Flow &flow = it->second;
-        if (flow.eligible_at <= t &&
-            flow.remaining <= completion_epsilon) {
-            if (auto *tb = trace::active()) {
-                const std::string label = _nodes[flow.src].name + "->" +
-                                          _nodes[flow.dst].name;
-                tb->span(trace::Category::Flow, label, name(),
-                         flow.trace_begin, t, flow.bytes);
-                // Per-hop spans: one lane per directed link, so Perfetto
-                // shows each physical link's occupancy.
-                for (const DirectedLink &dl : flow.path) {
-                    const Link &link = _links[dl.link];
-                    const NodeId from = dl.forward ? link.a : link.b;
-                    const NodeId to = dl.forward ? link.b : link.a;
-                    tb->span(trace::Category::Flow, label,
-                             name() + "." + _nodes[from].name + "->" +
-                                 _nodes[to].name,
-                             flow.trace_begin, t, flow.bytes);
-                }
-            }
-            done.emplace_back(std::move(flow.callback), !flow.corrupt);
-            it = _flows.erase(it);
-        } else {
-            ++it;
-        }
-    }
-
-    solveRates();
-    scheduleNextCompletion();
-
-    for (auto &[cb, ok] : done) {
-        if (cb)
-            cb(ok);
-    }
-}
-
-void
-Fabric::onCompletionCheckOpt()
-{
-    advanceProgressOpt();
-
     // Only reap candidates - flows whose residual crossed the epsilon -
-    // are visited, in FlowId order (the legacy map-walk order for trace
-    // emission and callback firing). Candidates that are not yet
+    // are visited, in FlowId order (the order of trace emission and
+    // callback firing). Collect finished flows first, then fire
+    // callbacks once the fabric state is consistent (callbacks often
+    // start follow-on flows). Candidates that are not yet
     // streaming-eligible stay queued; remaining never increases, so a
     // candidate can never leave the list except by completing.
     std::vector<std::pair<FlowStatusCallback, bool>> done;
@@ -792,6 +495,8 @@ Fabric::onCompletionCheckOpt()
                                               "->" + _nodes[cold.dst].name;
                     tb->span(trace::Category::Flow, label, name(),
                              cold.trace_begin, t, cold.bytes);
+                    // Per-hop spans: one lane per directed link, so
+                    // Perfetto shows each physical link's occupancy.
                     for (const DirectedLink &dl : cold.path->path) {
                         const Link &link = _links[dl.link];
                         const NodeId from = dl.forward ? link.a : link.b;
@@ -829,8 +534,8 @@ Fabric::onCompletionCheckOpt()
         }
     }
 
-    solveRatesOpt();
-    scheduleNextCompletionOpt();
+    solveRates();
+    scheduleNextCompletion();
 
     for (auto &[cb, ok] : done) {
         if (cb)

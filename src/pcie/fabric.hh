@@ -29,7 +29,6 @@
 
 #include "fault/hooks.hh"
 #include "pcie/generation.hh"
-#include "sim/core.hh"
 #include "sim/sim_object.hh"
 
 namespace dmx::pcie
@@ -84,10 +83,10 @@ struct FabricParams
 
 /**
  * One linked-list DMA descriptor: a (src, dst, bytes) transfer the
- * engine executes autonomously. A chain of descriptors is walked
- * without host involvement: the first pays the full dma_setup
- * (doorbell + engine programming), each successor only the
- * desc_fetch_latency of pulling the next descriptor from memory.
+ * engine executes autonomously. In a chain of descriptors the first
+ * pays the full dma_setup (doorbell + engine programming), each
+ * successor only the desc_fetch_latency of pulling the next descriptor
+ * from memory (see startDescriptorFlow).
  */
 struct DmaDescriptor
 {
@@ -165,20 +164,6 @@ class Fabric : public sim::SimObject
                                FlowStatusCallback callback);
 
     /**
-     * Walk @p chain autonomously: descriptor i+1 starts when i
-     * delivers intact. The walk aborts on the first corrupted delivery
-     * (callback fires with ok == false) and wedges on an injected
-     * stall (callback never fires - the caller's watchdog owns
-     * detection, exactly as for single flows). @p done receives the
-     * overall outcome and runs at the last delivery.
-     */
-    void startDescriptorChain(std::vector<DmaDescriptor> chain,
-                              FlowStatusCallback done);
-
-    /** @return descriptor-chain walks started. */
-    std::uint64_t descriptorChains() const { return _descriptor_chains; }
-
-    /**
      * @return doorbell rings: submissions that paid the full dma_setup
      * (startFlow/startFlowChecked, and the first descriptor of a batch
      * or chain). Follow-on descriptors are engine-fetched and counted
@@ -218,11 +203,7 @@ class Fabric : public sim::SimObject
     std::uint64_t crcReplays() const { return _crc_replays; }
 
     /** @return number of in-flight flows. */
-    std::size_t
-    activeFlows() const
-    {
-        return _opt ? _active.size() : _flows.size();
-    }
+    std::size_t activeFlows() const { return _active.size(); }
 
     /**
      * @return peak number of concurrently in-flight flows observed.
@@ -251,11 +232,10 @@ class Fabric : public sim::SimObject
 
     /**
      * @return flow-record visits performed by completion reaping. Pure
-     * observability: the legacy engine re-scans every active flow on
-     * each completion check (quadratic in flow count when n flows
-     * drain), the optimized engine only visits flows whose residual
-     * crossed the completion epsilon. The core-equivalence suite pins
-     * the linear scaling with this counter.
+     * observability: a completion check visits only the flows whose
+     * residual crossed the completion epsilon, never the whole flow
+     * table, so draining n flows costs O(n) visits. The core suite
+     * pins that linear scaling with this counter.
      */
     std::uint64_t settleVisits() const { return _settle_visits; }
 
@@ -291,24 +271,11 @@ class Fabric : public sim::SimObject
         }
     };
 
-    struct Flow
-    {
-        NodeId src, dst;
-        double remaining;              ///< bytes left to stream
-        double rate = 0;               ///< current bytes/second
-        Tick eligible_at;              ///< start latency absorbed until here
-        Tick trace_begin = 0;          ///< submission time, for tracing
-        std::uint64_t bytes = 0;       ///< total payload, for tracing
-        bool corrupt = false;          ///< delivered but fails its check
-        std::vector<DirectedLink> path;
-        FlowStatusCallback callback;
-    };
-
     /**
-     * Optimized engine: cached path between a (src, dst) pair with the
-     * interior-node latency pre-summed. Flows hold a shared_ptr so a
-     * topology mutation can drop the cache without invalidating
-     * in-flight flows.
+     * Cached path between a (src, dst) pair with the interior-node
+     * latency pre-summed. Flows hold a shared_ptr so a topology
+     * mutation can drop the cache without invalidating in-flight
+     * flows.
      */
     struct PathEntry
     {
@@ -317,7 +284,7 @@ class Fabric : public sim::SimObject
         unsigned n_switches = 0;    ///< switches on the path
     };
 
-    /** Optimized engine: cold per-flow state (off the settle loop). */
+    /** Cold per-flow state (off the settle loop). */
     struct FlowCold
     {
         FlowId id = 0;
@@ -353,15 +320,6 @@ class Fabric : public sim::SimObject
     /** Handle the completion-check event. */
     void onCompletionCheck();
 
-    // Optimized-engine bodies (bit-identical semantics, SoA state).
-    FlowId startFlowOpt(NodeId src, NodeId dst, std::uint64_t bytes,
-                        Tick latency, FlowStatusCallback callback,
-                        bool corrupt);
-    void advanceProgressOpt();
-    void solveRatesOpt();
-    void scheduleNextCompletionOpt();
-    void onCompletionCheckOpt();
-
     Params _params;
     fault::FlowHook _fault_hook;
     fault::LinkCrcHook _crc_hook;
@@ -372,24 +330,20 @@ class Fabric : public sim::SimObject
     std::vector<Node> _nodes;
     std::vector<Link> _links;
     std::vector<LinkStats> _link_stats;
-    std::map<FlowId, Flow> _flows;
     FlowId _next_flow = 0;
     Tick _last_update = 0;
     sim::EventHandle _pending_check;
     std::uint64_t _total_bytes = 0;
     std::uint64_t _switch_traversals = 0;
-    std::uint64_t _descriptor_chains = 0;
     std::uint64_t _descriptor_fetches = 0;
     std::uint64_t _doorbells = 0;
     std::uint64_t _settle_visits = 0;
 
-    // ---- Optimized engine (sim::CoreMode::Optimized) ----
     // Flow state is structure-of-arrays over slot indices with a free
     // list; _active keeps live slots in FlowId-ascending order, which
     // pins every order-sensitive accumulation (link busy integrals,
-    // solver round increments, reap/callback order) to the legacy
-    // std::map iteration order.
-    const bool _opt;
+    // solver round increments, reap/callback order) to flow start
+    // order.
     std::vector<double> _f_remaining;       ///< [slot] bytes left
     std::vector<double> _f_rate;            ///< [slot] bytes/second
     std::vector<Tick> _f_eligible;          ///< [slot] streaming-eligible at

@@ -25,10 +25,10 @@
  *    then failing fast, recovering in reverse.
  *
  * Everything is default-off and seeded. With `enabled == false` the
- * engine replays sys::simulateOverload's exact operation sequence and
- * its results are byte-identical to that engine's — pinned by the
- * differential tests in tests/test_serve.cc. Equal configs are
- * byte-identical at any exec::ScenarioRunner --jobs level.
+ * engine *is* sys::simulateOverload: that function returns this
+ * engine's base block with serving disabled, and tests/test_serve.cc
+ * pins its results to literal values. Equal configs are byte-identical
+ * at any exec::ScenarioRunner --jobs level.
  */
 
 #ifndef DMX_SERVE_SERVE_HH
@@ -72,8 +72,9 @@ struct ServeConfig
     /// fault rate, seed, payload/ring bytes, protection stack.
     sys::OverloadConfig overload;
 
-    /// Master switch. False = byte-identical replay of
-    /// sys::simulateOverload (every serving feature unreachable).
+    /// Master switch. False = the plain overload stress point that
+    /// sys::simulateOverload reports (every serving feature
+    /// unreachable).
     bool enabled = false;
 
     TraceConfig trace;
@@ -86,8 +87,8 @@ struct ServeConfig
     double slo_batch_factor = 64.0;
 
     /// Fraction of faulted kernels that hang (the rest fail fast).
-    /// The default 0.2 reproduces the overload engine's 80/20 split
-    /// bit-exactly.
+    /// Read only when serving is enabled; a disabled run always splits
+    /// faults 80/20 fail/hang.
     double fault_hang_fraction = 0.2;
     /// Override for the fault plan's consecutive-failure threshold;
     /// 0 keeps the plan default. The amplification regression raises
@@ -115,8 +116,8 @@ struct ClassStats
 /** Results of one serving stress point. */
 struct ServeStats
 {
-    /// The overload engine's full result block (byte-identical to
-    /// sys::simulateOverload when serving is disabled).
+    /// The overload result block (what sys::simulateOverload returns
+    /// when serving is disabled).
     sys::OverloadStats base;
 
     ClassStats latency_sensitive;

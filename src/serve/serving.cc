@@ -18,13 +18,63 @@ namespace dmx::serve
 namespace
 {
 
+/*
+ * The stress kernel is a byte-bound streaming pass (checksum-rotate) so
+ * service time scales with request bytes through the device's op-rate
+ * model while the functional work stays trivial.
+ */
+runtime::Bytes
+streamKernel(const runtime::Bytes &in, kernels::OpCount &ops)
+{
+    runtime::Bytes out(in.size());
+    std::uint8_t acc = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        acc = static_cast<std::uint8_t>(acc + in[i]);
+        out[i] = acc;
+    }
+    ops.int_ops += in.size();
+    ops.bytes_read += in.size();
+    ops.bytes_written += out.size();
+    return out;
+}
+
+/** Build the "axl<d>" device bank on @p plat; @return the device ids. */
+std::vector<runtime::DeviceId>
+addBank(runtime::Platform &plat, unsigned devices)
+{
+    std::vector<runtime::DeviceId> ids;
+    ids.reserve(devices);
+    for (unsigned d = 0; d < devices; ++d)
+        ids.push_back(plat.addAccelerator("axl" + std::to_string(d),
+                                          accel::Domain::Crypto,
+                                          streamKernel));
+    return ids;
+}
+
 /**
- * The live serving run. The structure deliberately mirrors
- * sys::simulateOverload's OverloadSim operation-for-operation: with
- * `cfg.enabled == false` every serving feature is unreachable and the
- * engine performs the exact same sequence of platform operations, so
- * its results are byte-identical to the overload engine's (pinned by
- * the differential tests).
+ * Service time of one request on an idle, fault-free platform: the
+ * saturation yardstick arrivals are spaced against.
+ */
+Tick
+soloServiceTicks(const sys::OverloadConfig &cfg)
+{
+    runtime::Platform plat;
+    const auto ids = addBank(plat, 1);
+    runtime::Context ctx = plat.createContext();
+    const auto in = ctx.createBuffer(
+        runtime::Bytes(cfg.request_bytes, std::uint8_t{1}));
+    const auto out = ctx.createBuffer();
+    const runtime::Event ev = ctx.queue(ids[0]).enqueueKernel(in, out);
+    ctx.finish();
+    if (!ev.ok())
+        dmx_panic("serve: calibration request did not complete");
+    return ev.completeTime();
+}
+
+/**
+ * The live open-loop run. With `cfg.enabled == false` every serving
+ * feature is unreachable and the engine is the plain overload stress
+ * point sys::simulateOverload reports.
  */
 class ServeSim
 {
@@ -54,23 +104,16 @@ class ServeSim
     run()
     {
         const sys::OverloadConfig &oc = _cfg.overload;
-        _service = sys::overloadSoloServiceTicks(oc);
+        _service = soloServiceTicks(oc);
 
-        _ids = sys::overloadAddBank(_plat, oc.devices);
+        _ids = addBank(_plat, oc.devices);
         if (oc.fault_rate > 0) {
             fault::FaultSpec spec;
             spec.seed = oc.seed;
             const double hf =
                 _cfg.enabled ? _cfg.fault_hang_fraction : 0.2;
-            if (hf == 0.2) {
-                // The overload engine's exact expressions: computing
-                // the split through (1 - hf) would not be bit-equal.
-                spec.kernel_fail_prob = 0.8 * oc.fault_rate;
-                spec.kernel_hang_prob = 0.2 * oc.fault_rate;
-            } else {
-                spec.kernel_fail_prob = (1.0 - hf) * oc.fault_rate;
-                spec.kernel_hang_prob = hf * oc.fault_rate;
-            }
+            spec.kernel_fail_prob = (1.0 - hf) * oc.fault_rate;
+            spec.kernel_hang_prob = hf * oc.fault_rate;
             if (_cfg.enabled && _cfg.unhealthy_threshold)
                 spec.unhealthy_threshold = _cfg.unhealthy_threshold;
             _plan = std::make_unique<fault::FaultPlan>(spec);
@@ -97,13 +140,15 @@ class ServeSim
             }
         }
 
+        // Offered load: one request per `interval` system-wide equals
+        // `load` times the bank's aggregate saturation rate.
         const Tick interval = std::max<Tick>(
             1, static_cast<Tick>(
                    static_cast<double>(_service) /
                    (oc.load * static_cast<double>(oc.devices))));
         TraceConfig tc = _cfg.trace;
         if (!_cfg.enabled)
-            tc.shape = TraceShape::Steady; // the legacy clock, exactly
+            tc.shape = TraceShape::Steady; // the uniform arrival clock
         _arrivals = generateArrivals(tc, oc.requests, interval,
                                      oc.request_bytes, oc.ring_bytes,
                                      oc.seed);
@@ -135,9 +180,9 @@ class ServeSim
                                         [this] { brownoutTick(); });
         }
 
-        // Same accumulator flush bound as the overload engine: a
-        // partial batch waits at most a full batch's worth of steady
-        // arrival intervals before submitting.
+        // A partial batch flushes once a full batch's worth of steady
+        // arrival intervals has passed with no flush, bounding the
+        // queueing delay batching can add to the accumulation window.
         _pending.resize(oc.devices);
         _pending_gen.assign(oc.devices, 0);
         _flush_ticks = std::max<Tick>(
@@ -250,6 +295,9 @@ class ServeSim
             }
         }
         if (!_gates.empty()) {
+            // Credit-gated submission: blocked producers wait in
+            // simulated time (latency keeps accruing from arrival), so
+            // an admitted push can never overrun the ring.
             _gates[r.dev]->acquire(r.bytes, _plat.now(),
                                    [this, i](Tick) { submit(i); });
             return;
@@ -293,7 +341,13 @@ class ServeSim
         }
     }
 
-    /** Batched-path accumulator join; see OverloadSim::joinBatch. */
+    /**
+     * Batched path: the request joins its device's accumulator (ring
+     * bytes and gate credit already held, so nothing downstream can
+     * tell accumulated and direct submissions apart at settle). A full
+     * accumulator flushes immediately; a partial one when its flush
+     * window expires.
+     */
     void
     joinBatch(unsigned i, runtime::BufferId in, runtime::BufferId out)
     {
@@ -608,7 +662,7 @@ class ServeSim
             }
         }
         // Interrupts plus polls: NAPI may deliver any notification in
-        // polled mode, so interrupts alone undercounts the legacy arm.
+        // polled mode, so interrupts alone would undercount.
         b.irq_notifications = _plat.irq().interruptsDelivered() +
                               _plat.irq().pollsDelivered();
         b.irq_suppressed = _plat.irq().suppressedNotifications();
@@ -772,3 +826,16 @@ flatten(const ServeStats &st)
 }
 
 } // namespace dmx::serve
+
+namespace dmx::sys
+{
+
+OverloadStats
+simulateOverload(const OverloadConfig &cfg)
+{
+    serve::ServeConfig sc;
+    sc.overload = cfg;
+    return serve::simulateServing(sc).base;
+}
+
+} // namespace dmx::sys

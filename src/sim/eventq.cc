@@ -7,11 +7,9 @@
 namespace dmx::sim
 {
 
-EventQueue::EventQueue(CoreMode mode)
-    : _optimized(mode == CoreMode::Optimized)
+EventQueue::EventQueue()
+    : _slots(std::make_shared<detail::EventSlotTable>())
 {
-    if (_optimized)
-        _slots = std::make_shared<detail::EventSlotTable>();
 }
 
 std::uint32_t
@@ -46,51 +44,23 @@ EventQueue::schedule(Tick when, std::function<void()> fn, Priority prio)
                   static_cast<unsigned long long>(_now));
     }
 
-    if (_optimized) {
-        const std::uint64_t seq = _next_seq++;
-        const std::uint32_t slot = allocSlot();
-        auto &s = _slots->slots[slot];
-        s.fn = std::move(fn);
-        s.seq = seq;
-        s.cancelled = false;
-        s.fired = false;
-        ++_slots->live;
+    const std::uint64_t seq = _next_seq++;
+    const std::uint32_t slot = allocSlot();
+    auto &s = _slots->slots[slot];
+    s.fn = std::move(fn);
+    s.seq = seq;
+    s.cancelled = false;
+    s.fired = false;
+    ++_slots->live;
 
-        _kheap.push_back(Key{when, seq, static_cast<std::int32_t>(prio),
-                             slot});
-        std::push_heap(_kheap.begin(), _kheap.end(), KeyLater{});
-
-        EventHandle handle;
-        handle._table = _slots;
-        handle._slot = slot;
-        handle._seq = seq;
-        return handle;
-    }
-
-    Record rec;
-    rec.when = when;
-    rec.prio = static_cast<int>(prio);
-    rec.seq = _next_seq++;
-    rec.fn = std::move(fn);
-    rec.cancelled = std::make_shared<bool>(false);
-    rec.fired = std::make_shared<bool>(false);
+    _kheap.push_back(Key{when, seq, static_cast<std::int32_t>(prio), slot});
+    std::push_heap(_kheap.begin(), _kheap.end(), KeyLater{});
 
     EventHandle handle;
-    handle._cancelled = rec.cancelled;
-    handle._fired = rec.fired;
-
-    _heap.push_back(std::move(rec));
-    std::push_heap(_heap.begin(), _heap.end(), Later{});
+    handle._table = _slots;
+    handle._slot = slot;
+    handle._seq = seq;
     return handle;
-}
-
-EventQueue::Record
-EventQueue::popTop()
-{
-    std::pop_heap(_heap.begin(), _heap.end(), Later{});
-    Record rec = std::move(_heap.back());
-    _heap.pop_back();
-    return rec;
 }
 
 EventQueue::Key
@@ -103,23 +73,7 @@ EventQueue::popKeyTop()
 }
 
 bool
-EventQueue::runOneLegacy()
-{
-    while (!_heap.empty()) {
-        Record rec = popTop();
-        if (*rec.cancelled)
-            continue;
-        _now = rec.when;
-        *rec.fired = true;
-        ++_executed;
-        rec.fn();
-        return true;
-    }
-    return false;
-}
-
-bool
-EventQueue::runOneOptimized()
+EventQueue::runOne()
 {
     while (!_kheap.empty()) {
         const Key key = popKeyTop();
@@ -148,12 +102,6 @@ EventQueue::runOneOptimized()
     return false;
 }
 
-bool
-EventQueue::runOne()
-{
-    return _optimized ? runOneOptimized() : runOneLegacy();
-}
-
 Tick
 EventQueue::run()
 {
@@ -165,63 +113,31 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    if (_optimized) {
-        while (!_kheap.empty()) {
-            // Peek: drop dead keys without advancing time.
-            const Key &top = _kheap.front();
-            const auto &s = _slots->slots[top.slot];
-            if (s.seq != top.seq || s.cancelled) {
-                const Key key = popKeyTop();
-                if (_slots->slots[key.slot].seq == key.seq)
-                    freeSlot(key.slot);
-                continue;
-            }
-            if (top.when > limit)
-                break;
-            runOne();
-        }
-        return _now;
-    }
-
-    while (!_heap.empty()) {
-        // Peek: skip cancelled records without advancing time.
-        if (*_heap.front().cancelled) {
-            popTop();
+    while (!_kheap.empty()) {
+        // Peek: drop dead keys without advancing time.
+        const Key &top = _kheap.front();
+        const auto &s = _slots->slots[top.slot];
+        if (s.seq != top.seq || s.cancelled) {
+            const Key key = popKeyTop();
+            if (_slots->slots[key.slot].seq == key.seq)
+                freeSlot(key.slot);
             continue;
         }
-        if (_heap.front().when > limit)
+        if (top.when > limit)
             break;
         runOne();
     }
     return _now;
 }
 
-std::size_t
-EventQueue::pendingCount() const
-{
-    if (_optimized)
-        return _slots->live;
-
-    std::size_t live = 0;
-    for (const Record &rec : _heap) {
-        if (!*rec.cancelled)
-            ++live;
-    }
-    return live;
-}
-
 void
 EventQueue::reset()
 {
-    if (_optimized) {
-        _kheap.clear();
-        // A fresh table, so handles into the old epoch go stale rather
-        // than aliasing recycled slots.
-        _slots = std::make_shared<detail::EventSlotTable>();
-        _free_head = no_slot;
-    } else {
-        _heap.clear();
-    }
+    _kheap.clear();
+    // A fresh table, so handles into the old epoch go stale rather than
+    // aliasing recycled slots.
+    _slots = std::make_shared<detail::EventSlotTable>();
+    _free_head = no_slot;
     _now = 0;
     _next_seq = 0;
     _executed = 0;

@@ -6,21 +6,16 @@
  * first by an explicit priority, then by insertion order, so simulation
  * runs are fully deterministic.
  *
- * Two interchangeable engines live behind the same API (selected by
- * sim::coreMode() at construction; see DESIGN.md section 7h):
+ * The queue is a binary heap of 24-byte POD keys over a slot arena
+ * with a free list (see DESIGN.md section 7h). Scheduling allocates
+ * nothing once the arena is warm, cancellation is O(1), and
+ * pendingCount() is a counter read. Handles reference slots through
+ * one shared slot table and a per-occupancy sequence number, so a
+ * recycled slot can never be cancelled by a stale handle.
  *
- *  - Legacy: fat heap records owning the closure plus two shared
- *    control blocks per event. Kept verbatim as the reference arm.
- *  - Optimized: a binary heap of 24-byte POD keys over a slot arena
- *    with a free list. Scheduling allocates nothing once the arena is
- *    warm, cancellation is O(1), and pendingCount() is a counter read
- *    instead of a heap walk. Handles reference slots through one
- *    shared slot table and a per-occupancy sequence number, so a
- *    recycled slot can never be cancelled by a stale handle.
- *
- * Both engines fire events in identical (when, prio, seq) order - the
- * tie-break order is observable through traces and is pinned by the
- * property tests in tests/test_core_equiv.cc.
+ * The (when, prio, seq) firing order is observable through traces; the
+ * property tests in tests/test_core_equiv.cc pin it against a naive
+ * linear-scan reference queue.
  */
 
 #ifndef DMX_SIM_EVENTQ_HH
@@ -33,7 +28,6 @@
 #include <vector>
 
 #include "common/units.hh"
-#include "sim/core.hh"
 
 namespace dmx::sim
 {
@@ -82,38 +76,29 @@ class EventHandle
     void
     cancel()
     {
-        if (_table) {
-            auto &s = _table->slots[_slot];
-            if (s.seq == _seq && !s.cancelled && !s.fired) {
-                s.cancelled = true;
-                s.fn = nullptr;
-                --_table->live;
-            }
+        if (!_table)
             return;
+        auto &s = _table->slots[_slot];
+        if (s.seq == _seq && !s.cancelled && !s.fired) {
+            s.cancelled = true;
+            s.fn = nullptr;
+            --_table->live;
         }
-        if (_cancelled)
-            *_cancelled = true;
     }
 
     /** @return true if this handle refers to a scheduled (live) event. */
     bool
     pending() const
     {
-        if (_table) {
-            if (_slot >= _table->slots.size())
-                return false;
-            const auto &s = _table->slots[_slot];
-            return s.seq == _seq && !s.cancelled && !s.fired;
-        }
-        return _cancelled && !*_cancelled && !*_fired;
+        if (!_table || _slot >= _table->slots.size())
+            return false;
+        const auto &s = _table->slots[_slot];
+        return s.seq == _seq && !s.cancelled && !s.fired;
     }
 
   private:
     friend class EventQueue;
-    // Legacy engine: two shared control blocks.
-    std::shared_ptr<bool> _cancelled;
-    std::shared_ptr<bool> _fired;
-    // Optimized engine: shared slot table + (slot, seq) reference.
+    // Shared slot table + (slot, seq) reference.
     std::shared_ptr<detail::EventSlotTable> _table;
     std::uint32_t _slot = 0;
     std::uint64_t _seq = 0;
@@ -130,11 +115,7 @@ class EventHandle
 class EventQueue
 {
   public:
-    /** Engine selected by the global core mode at construction. */
-    EventQueue() : EventQueue(coreMode()) {}
-
-    /** Engine selected explicitly (differential tests). */
-    explicit EventQueue(CoreMode mode);
+    EventQueue();
 
     /** @return current simulated time. */
     Tick now() const { return _now; }
@@ -175,7 +156,7 @@ class EventQueue
     Tick runUntil(Tick limit);
 
     /** @return number of pending, uncancelled events. */
-    std::size_t pendingCount() const;
+    std::size_t pendingCount() const { return _slots->live; }
 
     /** @return total events executed since construction. */
     std::uint64_t executedCount() const { return _executed; }
@@ -184,31 +165,7 @@ class EventQueue
     void reset();
 
   private:
-    struct Record
-    {
-        Tick when;
-        int prio;
-        std::uint64_t seq;
-        std::function<void()> fn;
-        std::shared_ptr<bool> cancelled;
-        std::shared_ptr<bool> fired;
-    };
-
-    /** Heap order: the earliest (when, prio, seq) is the heap top. */
-    struct Later
-    {
-        bool
-        operator()(const Record &a, const Record &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** Optimized engine: 24-byte POD heap key referencing a slot. */
+    /** 24-byte POD heap key referencing a slot. */
     struct Key
     {
         Tick when;
@@ -217,7 +174,7 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    /** Same ordering contract as Later, over POD keys. */
+    /** Heap order: the earliest (when, prio, seq) is the heap top. */
     struct KeyLater
     {
         bool
@@ -233,25 +190,13 @@ class EventQueue
 
     static constexpr std::uint32_t no_slot = 0xffffffffu;
 
-    /** Pop the heap top into a local and return it (legacy engine). */
-    Record popTop();
-
-    /** Pop the key-heap top (optimized engine). */
+    /** Pop the key-heap top. */
     Key popKeyTop();
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
 
-    bool runOneLegacy();
-    bool runOneOptimized();
-
-    const bool _optimized;
-
-    // Legacy engine: a make-heap-managed vector rather than
-    // std::priority_queue so that pendingCount() can walk live records.
-    std::vector<Record> _heap;
-
-    // Optimized engine: POD key heap + slot arena with free list.
+    // POD key heap + slot arena with free list.
     std::vector<Key> _kheap;
     std::shared_ptr<detail::EventSlotTable> _slots;
     std::uint32_t _free_head = no_slot;

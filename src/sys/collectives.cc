@@ -87,17 +87,18 @@ sequentialFlows(CollectiveTopo &topo, pcie::NodeId src,
         done();
         return;
     }
+    // The walk holds only a weak reference to itself; the in-flight
+    // flow's callback holds the strong one, so the walk frees itself
+    // once its last flow completes.
     auto next = std::make_shared<std::function<void(std::size_t)>>();
-    auto dsts_copy =
-        std::make_shared<std::vector<pcie::NodeId>>(dsts);
-    *next = [&topo, src, dsts_copy, bytes, done = std::move(done),
-             next](std::size_t i) {
-        if (i == dsts_copy->size()) {
+    *next = [&topo, src, dsts, bytes, done = std::move(done),
+             self = std::weak_ptr(next)](std::size_t i) {
+        if (i == dsts.size()) {
             done();
             return;
         }
-        topo.fabric->startFlow(src, (*dsts_copy)[i], bytes,
-                               [next, i] { (*next)(i + 1); });
+        topo.fabric->startFlow(src, dsts[i], bytes,
+                               [next = self.lock(), i] { (*next)(i + 1); });
     };
     (*next)(0);
 }
@@ -224,19 +225,20 @@ simulateAllReduce(const CollectiveConfig &cfg)
         Tick done_at = 0;
 
         auto seq_gather = [&](std::function<void()> after) {
-            // Device -> host transfers, driver-serialized.
+            // Device -> host transfers, driver-serialized. Same
+            // ownership as sequentialFlows: only the in-flight flow's
+            // callback keeps the walk alive.
             auto next =
                 std::make_shared<std::function<void(unsigned)>>();
-            auto after_ptr = std::make_shared<std::function<void()>>(
-                std::move(after));
-            *next = [&, next, after_ptr](unsigned i) {
+            *next = [&, after = std::move(after),
+                     self = std::weak_ptr(next)](unsigned i) {
                 if (i == n) {
-                    (*after_ptr)();
+                    after();
                     return;
                 }
-                topo.fabric->startFlow(topo.accel[i], topo.rc,
-                                       cfg.bytes,
-                                       [next, i] { (*next)(i + 1); });
+                topo.fabric->startFlow(
+                    topo.accel[i], topo.rc, cfg.bytes,
+                    [next = self.lock(), i] { (*next)(i + 1); });
             };
             (*next)(0);
         };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Open-loop overload stress engine over the runtime::Platform.
+ * Open-loop overload stress point over the runtime::Platform.
  *
  * The figure harnesses and the multi-tenant mode are *closed* loops: a
  * stream never has more than one request in flight, so offered load can
@@ -23,18 +23,20 @@
  * `load = 1.0` offers exactly one request per device-service-time per
  * device. Everything is deterministic: equal configs give byte-equal
  * results at any exec::ScenarioRunner --jobs level.
+ *
+ * The engine is the serving layer's (src/serve) with every serving
+ * feature off: simulateOverload is defined in src/serve/serving.cc and
+ * returns serve::simulateServing(...).base.
  */
 
 #ifndef DMX_SYS_OVERLOAD_HH
 #define DMX_SYS_OVERLOAD_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/percentile.hh"
 #include "common/units.hh"
 #include "robust/robust.hh"
-#include "runtime/runtime.hh"
 
 namespace dmx::sys
 {
@@ -133,26 +135,6 @@ struct OverloadStats
 
 /** Run one overload stress point. */
 OverloadStats simulateOverload(const OverloadConfig &cfg);
-
-/**
- * Building blocks shared with the serving layer (src/serve), exported
- * so both engines drive byte-identical device banks and calibrate
- * against the same saturation yardstick.
- */
-
-/** The overload stress kernel: byte-bound checksum-rotate pass. */
-runtime::Bytes overloadStreamKernel(const runtime::Bytes &in,
-                                    kernels::OpCount &ops);
-
-/** Build the "axl<d>" device bank on @p plat; @return the device ids. */
-std::vector<runtime::DeviceId> overloadAddBank(runtime::Platform &plat,
-                                               unsigned devices);
-
-/**
- * Service time of one request on an idle, fault-free platform: the
- * saturation yardstick arrivals are spaced against.
- */
-Tick overloadSoloServiceTicks(const OverloadConfig &cfg);
 
 } // namespace dmx::sys
 

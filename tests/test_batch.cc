@@ -33,6 +33,7 @@
 #include "sim/eventq.hh"
 #include "sys/overload.hh"
 #include "sys/system.hh"
+#include "util_overload.hh"
 
 using namespace dmx;
 using namespace dmx::runtime;
@@ -829,19 +830,19 @@ TEST(BatchServe, ServingDisabledMatchesOverloadWithBatching)
     oc.devices = 2;
     oc.load = 2.0;
     oc.batch = 4;
-    serve::ServeConfig sc;
-    sc.overload = oc;
-
-    const sys::OverloadStats legacy = sys::simulateOverload(oc);
-    const serve::ServeStats st = serve::simulateServing(sc);
-    EXPECT_EQ(st.base.offered, legacy.offered);
-    EXPECT_EQ(st.base.completed, legacy.completed);
-    EXPECT_EQ(st.base.shed, legacy.shed);
-    EXPECT_EQ(st.base.failed, legacy.failed);
-    EXPECT_EQ(st.base.timed_out, legacy.timed_out);
-    EXPECT_EQ(st.base.goodput_rps, legacy.goodput_rps);
-    EXPECT_EQ(st.base.p99_latency_ms, legacy.p99_latency_ms);
-    EXPECT_EQ(st.base.makespan_ms, legacy.makespan_ms);
-    EXPECT_EQ(st.base.irq_notifications, legacy.irq_notifications);
-    EXPECT_EQ(st.base.irq_suppressed, legacy.irq_suppressed);
+    testutil::expectOverloadPinned(
+        oc, sys::OverloadStats{
+                .offered = 64, .completed = 64,
+                .goodput_rps = 0x1.c28d15d0adc4ap+17,
+                .mean_latency_ms = 0x1.4d39da16616b6p-4,
+                .p99_latency_ms = 0x1.2b0c88a47ecffp-3,
+                .makespan_ms = 0x1.1c18b502ababfp-2,
+                .queue_overflows = 22, .ring_credit_window = 32768,
+                .max_ring_high_water = 32768,
+                .completed_latency = {64, 0x1.4d39da16616b6p-4,
+                                      0x1.44ae85b9e8c48p-4,
+                                      0x1.2b0c88a47ecffp-3,
+                                      0x1.2b0c88a47ecffp-3},
+                .shed_latency = {}, .timeout_latency = {},
+            });
 }

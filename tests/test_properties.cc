@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <regex>
 
 #include "common/dtype.hh"
@@ -61,6 +62,14 @@ struct DrxEquivCase
     restructure::Kernel kernel;
     unsigned lanes;
 };
+
+// Without a PrintTo, gtest prints a parameter's raw bytes (heap and
+// string addresses included) and those bytes end up in the ctest names.
+void
+PrintTo(const DrxEquivCase &c, std::ostream *os)
+{
+    *os << c.name << '/' << c.lanes;
+}
 
 class DrxLaneEquivalence : public ::testing::TestWithParam<DrxEquivCase>
 {
@@ -244,6 +253,12 @@ struct RegexCase
     const char *pattern;
     const char *ecma; ///< equivalent std::regex pattern
 };
+
+void
+PrintTo(const RegexCase &c, std::ostream *os)
+{
+    *os << c.pattern;
+}
 
 class RegexVsStd
     : public ::testing::TestWithParam<RegexCase>

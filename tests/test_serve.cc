@@ -2,8 +2,8 @@
  * @file
  * Tests for the serving layer (src/serve): trace generation, retry
  * budgets, brownout control, hedged requests, the runtime retry-policy
- * hook, and the engine-level contracts — serving disabled is
- * byte-identical to sys::simulateOverload, equal configs are
+ * hook, and the engine-level contracts — serving disabled reproduces
+ * the pinned sys::simulateOverload results exactly, equal configs are
  * byte-identical at any --jobs level (including under randomized fault
  * plans), hedge cancellation never double-counts a request, retry
  * budgets bound attempt amplification exactly, brownout enters and
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/scenario.hh"
@@ -27,46 +28,13 @@
 #include "serve/trace_gen.hh"
 #include "sys/overload.hh"
 #include "trace/trace.hh"
+#include "util_overload.hh"
 
 using namespace dmx;
 using namespace dmx::serve;
 
 namespace
 {
-
-/** Every field of two overload-stat blocks must match exactly. */
-void
-expectBaseEq(const sys::OverloadStats &a, const sys::OverloadStats &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.timed_out, b.timed_out);
-    EXPECT_EQ(a.goodput_rps, b.goodput_rps);
-    EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
-    EXPECT_EQ(a.p99_latency_ms, b.p99_latency_ms);
-    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-    EXPECT_EQ(a.queue_overflows, b.queue_overflows);
-    EXPECT_EQ(a.ring_credit_window, b.ring_credit_window);
-    EXPECT_EQ(a.max_ring_high_water, b.max_ring_high_water);
-    EXPECT_EQ(a.backpressure_stalls, b.backpressure_stalls);
-    EXPECT_EQ(a.backpressure_stall_ms, b.backpressure_stall_ms);
-    EXPECT_EQ(a.breaker_opens, b.breaker_opens);
-    EXPECT_EQ(a.breaker_fast_fails, b.breaker_fast_fails);
-    EXPECT_EQ(a.breaker_open_ms, b.breaker_open_ms);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.watchdog_timeouts, b.watchdog_timeouts);
-    EXPECT_EQ(a.completed_latency.count, b.completed_latency.count);
-    EXPECT_EQ(a.completed_latency.mean_ms, b.completed_latency.mean_ms);
-    EXPECT_EQ(a.completed_latency.p50_ms, b.completed_latency.p50_ms);
-    EXPECT_EQ(a.completed_latency.p99_ms, b.completed_latency.p99_ms);
-    EXPECT_EQ(a.completed_latency.p999_ms, b.completed_latency.p999_ms);
-    EXPECT_EQ(a.shed_latency.count, b.shed_latency.count);
-    EXPECT_EQ(a.shed_latency.p99_ms, b.shed_latency.p99_ms);
-    EXPECT_EQ(a.timeout_latency.count, b.timeout_latency.count);
-    EXPECT_EQ(a.timeout_latency.p99_ms, b.timeout_latency.p99_ms);
-}
 
 /** The protection stack stress_overload sweeps. */
 robust::RobustConfig
@@ -112,18 +80,29 @@ bump(const runtime::Bytes &in, kernels::OpCount &ops)
 } // namespace
 
 // ------------------------------------------------------------------
-// Serving disabled == sys::simulateOverload, byte for byte.
+// Serving disabled is sys::simulateOverload. Both entry points are
+// pinned to literal results of the open-loop engine (doubles as hex
+// floats), so any drift in it shows here.
 
 TEST(ServeDifferential, DisabledMatchesOverloadEngineFaultFree)
 {
     sys::OverloadConfig oc;
     oc.load = 2.0;
-    ServeConfig sc;
-    sc.overload = oc;
-
-    const sys::OverloadStats legacy = sys::simulateOverload(oc);
-    const ServeStats serve = simulateServing(sc);
-    expectBaseEq(serve.base, legacy);
+    const ServeStats serve = testutil::expectOverloadPinned(
+        oc, sys::OverloadStats{
+                .offered = 160, .completed = 160,
+                .goodput_rps = 0x1.cfcd7856d0ff3p+18,
+                .mean_latency_ms = 0x1.6f672b884406ep-4,
+                .p99_latency_ms = 0x1.5e5082cf52b91p-3,
+                .makespan_ms = 0x1.58f96e158750cp-2,
+                .queue_overflows = 64, .ring_credit_window = 32768,
+                .max_ring_high_water = 32768,
+                .completed_latency = {160, 0x1.6f672b884406ep-4,
+                                      0x1.66dbd72bcb5fep-4,
+                                      0x1.5e5082cf52b91p-3,
+                                      0x1.5e5082cf52b91p-3},
+                .shed_latency = {}, .timeout_latency = {},
+            });
     EXPECT_EQ(serve.hedges_issued, 0u);
     EXPECT_EQ(serve.budget_granted, 0u);
     EXPECT_EQ(serve.brownout_escalations, 0u);
@@ -134,10 +113,22 @@ TEST(ServeDifferential, DisabledMatchesOverloadEngineUnderFaults)
     sys::OverloadConfig oc;
     oc.load = 2.0;
     oc.fault_rate = 0.1;
-    ServeConfig sc;
-    sc.overload = oc;
-
-    expectBaseEq(simulateServing(sc).base, sys::simulateOverload(oc));
+    testutil::expectOverloadPinned(
+        oc, sys::OverloadStats{
+                .offered = 160, .completed = 160,
+                .goodput_rps = 0x1.8248148ff8b22p+11,
+                .mean_latency_ms = 0x1.10fb572b65278p+0,
+                .p99_latency_ms = 0x1.91ebdd7351f6p+5,
+                .makespan_ms = 0x1.9e34a46d3ac99p+5,
+                .queue_overflows = 71, .ring_credit_window = 32768,
+                .max_ring_high_water = 32768, .retries = 20,
+                .watchdog_timeouts = 3, .irq_notifications = 160,
+                .completed_latency = {160, 0x1.10fb572b65278p+0,
+                                      0x1.9c2c1b10fd7e4p-4,
+                                      0x1.91ebdd7351f6p+5,
+                                      0x1.9d523831a84c4p+5},
+                .shed_latency = {}, .timeout_latency = {},
+            });
 }
 
 TEST(ServeDifferential, DisabledMatchesOverloadEngineProtected)
@@ -147,27 +138,88 @@ TEST(ServeDifferential, DisabledMatchesOverloadEngineProtected)
     oc.fault_rate = 0.1;
     oc.robust = protectedConfig();
     oc.deadline_factor = 16;
-    ServeConfig sc;
-    sc.overload = oc;
-
-    const sys::OverloadStats legacy = sys::simulateOverload(oc);
-    expectBaseEq(simulateServing(sc).base, legacy);
-    // The protected point actually exercises the protection machinery.
-    EXPECT_GT(legacy.shed, 0u);
+    // The protected point exercises the protection machinery: sheds,
+    // bounded rings, deadline timeouts.
+    testutil::expectOverloadPinned(
+        oc, sys::OverloadStats{
+                .offered = 160, .completed = 57, .shed = 97,
+                .timed_out = 6, .goodput_rps = 0x1.2999058268e9ap+18,
+                .mean_latency_ms = 0x1.b96b8fa9d7dd3p-6,
+                .p99_latency_ms = 0x1.fd74b113191dap-6,
+                .makespan_ms = 0x1.7f1142bfe5802p-3,
+                .ring_credit_window = 32768,
+                .max_ring_high_water = 20480, .watchdog_timeouts = 1,
+                .irq_notifications = 57,
+                .completed_latency = {57, 0x1.b96b8fa9d7dd3p-6,
+                                      0x1.fd748eb7014d5p-6,
+                                      0x1.fd74b113191dap-6,
+                                      0x1.fd74b113191dap-6},
+                .shed_latency = {97},
+                .timeout_latency = {6, 0x1.872322fe15279p-5,
+                                    0x1.f54378fb94607p-6,
+                                    0x1.116a8b8f14db6p-3,
+                                    0x1.116a8b8f14db6p-3},
+            });
 }
 
 TEST(ServeDifferential, DisabledMatchesOverloadEngineAcrossSeeds)
 {
-    for (const std::uint64_t seed : {2ull, 3ull, 17ull}) {
+    const std::pair<std::uint64_t, sys::OverloadStats> pins[] = {
+        {2, {.offered = 160, .completed = 36, .failed = 124,
+             .goodput_rps = 0x1.5c825d18ab867p+9,
+             .mean_latency_ms = 0x1.74deec36e8f74p+2,
+             .p99_latency_ms = 0x1.9d1c5068b45aap+5,
+             .makespan_ms = 0x1.9d30402cebc66p+5, .queue_overflows = 5,
+             .ring_credit_window = 32768, .max_ring_high_water = 32768,
+             .retries = 34, .watchdog_timeouts = 4,
+             .irq_notifications = 36,
+             .completed_latency = {36, 0x1.74deec36e8f74p+2,
+                                   0x1.dede4b4f5eb7fp-3,
+                                   0x1.9d1c5068b45aap+5,
+                                   0x1.9d1c5068b45aap+5},
+             .shed_latency = {}, .timeout_latency = {}}},
+        {3, {.offered = 160, .completed = 83, .failed = 76,
+             .timed_out = 1, .goodput_rps = 0x1.9771442f7a017p+9,
+             .mean_latency_ms = 0x1.e43fc988e7f8bp+2,
+             .p99_latency_ms = 0x1.9d89c2cf3f654p+5,
+             .makespan_ms = 0x1.976b64b069fbep+6, .queue_overflows = 42,
+             .ring_credit_window = 32768, .max_ring_high_water = 32768,
+             .retries = 76, .watchdog_timeouts = 15,
+             .irq_notifications = 83,
+             .completed_latency = {83, 0x1.e43fc988e7f8bp+2,
+                                   0x1.8563504b35cd3p-4,
+                                   0x1.9d89c2cf3f654p+5,
+                                   0x1.9d89c2cf3f654p+5},
+             .shed_latency = {},
+             .timeout_latency = {1, 0x1.96cd531cb2934p+6,
+                                 0x1.96cd531cb2934p+6,
+                                 0x1.96cd531cb2934p+6,
+                                 0x1.96cd531cb2934p+6}}},
+        {17, {.offered = 160, .completed = 98, .failed = 61,
+              .timed_out = 1, .goodput_rps = 0x1.e19c5ebfef06ep+9,
+              .mean_latency_ms = 0x1.62c2c9e346208p+3,
+              .p99_latency_ms = 0x1.96ba439476bc7p+6,
+              .makespan_ms = 0x1.96f7b4a7088f7p+6, .queue_overflows = 68,
+              .ring_credit_window = 32768, .max_ring_high_water = 32768,
+              .retries = 101, .watchdog_timeouts = 25,
+              .irq_notifications = 98,
+              .completed_latency = {98, 0x1.62c2c9e346208p+3,
+                                    0x1.0f4c68dbae089p-2,
+                                    0x1.96ba439476bc7p+6,
+                                    0x1.96ba439476bc7p+6},
+              .shed_latency = {},
+              .timeout_latency = {1, 0x1.9ce528b931ba6p+5,
+                                  0x1.9ce528b931ba6p+5,
+                                  0x1.9ce528b931ba6p+5,
+                                  0x1.9ce528b931ba6p+5}}},
+    };
+    for (const auto &[seed, pin] : pins) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
         sys::OverloadConfig oc;
         oc.seed = seed;
         oc.load = 1.5;
         oc.fault_rate = 0.5;
-        ServeConfig sc;
-        sc.overload = oc;
-        const ServeStats st = simulateServing(sc);
-        expectBaseEq(st.base, sys::simulateOverload(oc));
-        expectClassConservation(st);
+        expectClassConservation(testutil::expectOverloadPinned(oc, pin));
     }
 }
 
@@ -657,7 +709,7 @@ TEST(ServeSlo, AttainmentIsBoundedAndPerfectWhenIdle)
 
 TEST(ServeTraceCategory, ServeCategoryIsNamed)
 {
-    EXPECT_EQ(trace::toString(trace::Category::Serve), "serve");
+    EXPECT_STREQ(trace::toString(trace::Category::Serve), "serve");
 }
 
 TEST(ServeContract, HeadlineTailToleranceAtTwoXLoadTenPctFaults)
