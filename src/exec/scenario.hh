@@ -213,11 +213,11 @@ class ScenarioRunner
                 } catch (...) {
                     local.error = std::current_exception();
                 }
-                {
-                    std::lock_guard<std::mutex> lk(mu);
-                    slots[i] = std::move(local);
-                    slots[i].done = true;
-                }
+                // Notify under the lock: once the caller sees the last
+                // slot done it returns and destroys cv.
+                std::lock_guard<std::mutex> lk(mu);
+                slots[i] = std::move(local);
+                slots[i].done = true;
                 cv.notify_all();
             });
         }

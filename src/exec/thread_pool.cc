@@ -46,7 +46,13 @@ ThreadPool::submit(Task task)
         _queues[target]->jobs.push_back(std::move(task));
     }
     _inflight.fetch_add(1, std::memory_order_relaxed);
-    _queued.fetch_add(1, std::memory_order_release);
+    {
+        // Publish under the sleep lock: a worker that has just found
+        // the wait predicate false but not yet blocked would otherwise
+        // miss this notify and sleep with work queued (a lost wakeup).
+        std::lock_guard<std::mutex> lk(_sleep_mu);
+        _queued.fetch_add(1, std::memory_order_release);
+    }
     _wake.notify_one();
 }
 

@@ -69,6 +69,27 @@ markEvent(const char *name, Tick at, std::uint64_t arg = 0)
     }
 }
 
+/**
+ * Fail over every stage placed on @p failed to the first usable
+ * alternate of @p st. @return false (placement unchanged) when there
+ * is none.
+ */
+bool
+failover(const runtime::Platform &plat, const ChainStage &st,
+         runtime::DeviceId failed, std::vector<runtime::DeviceId> &devmap,
+         ChainReport &report)
+{
+    const runtime::DeviceId alt = pickAlternate(plat, st, failed);
+    if (alt == no_device)
+        return false;
+    for (runtime::DeviceId &d : devmap)
+        if (d == failed)
+            d = alt;
+    ++report.failovers;
+    markEvent("failover", plat.now(), alt);
+    return true;
+}
+
 } // namespace
 
 const char *
@@ -150,19 +171,11 @@ runChainDescriptor(runtime::Platform &plat,
     std::size_t i = 0;
     while (i < stages.size()) {
         // Proactive failover, exactly as in PerHop mode.
-        if (!usable(plat, devmap[i])) {
-            const runtime::DeviceId alt =
-                pickAlternate(plat, stages[i], devmap[i]);
-            if (alt == no_device || !budgetLeft()) {
-                finalize(false, runtime::Status::Failed);
-                return report;
-            }
-            const runtime::DeviceId failed = devmap[i];
-            for (std::size_t j = 0; j < devmap.size(); ++j)
-                if (devmap[j] == failed)
-                    devmap[j] = alt;
-            ++report.failovers;
-            markEvent("failover", plat.now(), alt);
+        if (!usable(plat, devmap[i]) &&
+            (!budgetLeft() ||
+             !failover(plat, stages[i], devmap[i], devmap, report))) {
+            finalize(false, runtime::Status::Failed);
+            return report;
         }
 
         const std::size_t seg_end =
@@ -277,18 +290,11 @@ runChainDescriptor(runtime::Platform &plat,
         const bool stage_failed =
             fi >= 0 && spans[static_cast<std::size_t>(fi)].span > 0;
         if (stage_failed) {
-            const runtime::DeviceId dev = devmap[failed_stage];
-            const runtime::DeviceId alt =
-                pickAlternate(plat, stages[failed_stage], dev);
-            if (alt == no_device) {
+            if (!failover(plat, stages[failed_stage], devmap[failed_stage],
+                          devmap, report)) {
                 finalize(false, ev.status());
                 return report;
             }
-            for (std::size_t j2 = 0; j2 < devmap.size(); ++j2)
-                if (devmap[j2] == dev)
-                    devmap[j2] = alt;
-            ++report.failovers;
-            markEvent("failover", plat.now(), alt);
         } else {
             // A hop descriptor exhausted its in-engine retransmits
             // (fail-stop transport loss or persistent corruption):
@@ -370,19 +376,11 @@ runChain(runtime::Platform &plat, const std::vector<ChainStage> &stages,
     while (i < stages.size()) {
         // Proactive failover: do not hop data onto a device the health
         // tracker or its breaker already condemned - re-route first.
-        if (!usable(plat, devmap[i])) {
-            const runtime::DeviceId alt =
-                pickAlternate(plat, stages[i], devmap[i]);
-            if (alt == no_device || !budgetLeft()) {
-                finalize(false, runtime::Status::Failed);
-                return report;
-            }
-            const runtime::DeviceId failed = devmap[i];
-            for (std::size_t j = 0; j < devmap.size(); ++j)
-                if (devmap[j] == failed)
-                    devmap[j] = alt;
-            ++report.failovers;
-            markEvent("failover", plat.now(), alt);
+        if (!usable(plat, devmap[i]) &&
+            (!budgetLeft() ||
+             !failover(plat, stages[i], devmap[i], devmap, report))) {
+            finalize(false, runtime::Status::Failed);
+            return report;
         }
         const runtime::DeviceId dev = devmap[i];
 
@@ -465,20 +463,10 @@ runChain(runtime::Platform &plat, const std::vector<ChainStage> &stages,
             // that exhausted the retry budget): re-route the remaining
             // stages and resume from the checkpoint instead of
             // replaying the whole chain.
-            if (!budgetLeft()) {
+            if (!budgetLeft() || !failover(plat, st, dev, devmap, report)) {
                 finalize(false, e.status());
                 return report;
             }
-            const runtime::DeviceId alt = pickAlternate(plat, st, dev);
-            if (alt == no_device) {
-                finalize(false, e.status());
-                return report;
-            }
-            for (std::size_t j = 0; j < devmap.size(); ++j)
-                if (devmap[j] == dev)
-                    devmap[j] = alt;
-            ++report.failovers;
-            markEvent("failover", plat.now(), alt);
             // The failed command poisoned its queue (error cascade);
             // resume the replay from a fresh context.
             ctx = plat.createContextPtr();

@@ -3,8 +3,7 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "integrity/integrity.hh"
-#include "restructure/cpu_exec.hh"
+#include "runtime/core.hh"
 #include "trace/trace.hh"
 
 namespace dmx::runtime
@@ -35,441 +34,140 @@ namespace detail
 {
 
 /**
- * The batch execution engine: one Batch per submitBatch call, kept
- * alive by the member callbacks scheduled against it. Members run
- * through the per-command reliability engine (launchBatchMember) or
- * the chain engine (enqueueChainHooked) with settle outcomes routed
- * here; this engine owns the shared doorbell flag and completion
- * delivery - coalesced notifications or record polls - across them.
+ * The batch's completion delivery: one Batch per submitBatch call,
+ * kept alive by the member callbacks scheduled against it. Members run
+ * as core Commands or Chains whose settles route here; the batch owns
+ * the shared doorbell flag and delivers completions - coalesced
+ * notifications or record polls - across them.
  */
-struct BatchEngine
+struct Core::Batch : std::enable_shared_from_this<Batch>
 {
-    struct Batch : std::enable_shared_from_this<Batch>
+    Context *ctx = nullptr;
+    BatchOptions opts;
+    std::shared_ptr<BatchState> state;
+    /// The batch's shared doorbell: false until the first fabric
+    /// submission of any member rings it (full dma_setup); every later
+    /// submission is an engine descriptor fetch.
+    std::shared_ptr<bool> programmed = std::make_shared<bool>(false);
+    std::size_t n = 0;
+    std::size_t settled_count = 0; ///< members device-settled
+    std::size_t fired = 0;         ///< member events fired
+    /// Ok members awaiting the window's coalesced notification.
+    std::vector<std::size_t> window;
+    Status first_err = Status::Ok;
+    /// Per-member chain states (null unless Kind::Chain).
+    std::vector<std::shared_ptr<ChainState>> chains;
+
+    Platform &plat() { return ctx->platform(); }
+
+    std::size_t
+    windowSize() const
     {
-        Context *ctx = nullptr;
-        BatchOptions opts;
-        std::shared_ptr<BatchState> state;
-        /// The batch's shared doorbell: false until the first fabric
-        /// submission of any member rings it (full dma_setup); every
-        /// later submission is an engine descriptor fetch.
-        std::shared_ptr<bool> programmed = std::make_shared<bool>(false);
-        std::size_t n = 0;
-        std::size_t settled_count = 0; ///< members device-settled
-        std::size_t fired = 0;         ///< member events fired
-        /// Ok members awaiting the window's coalesced notification.
-        std::vector<std::size_t> window;
-        Status first_err = Status::Ok;
-        /// Per-member chain handles (invalid unless Kind::Chain).
-        std::vector<ChainEvent> chain_events;
-        /// Per-member pre-compiled plans (Restructure members only).
-        std::vector<
-            std::vector<std::shared_ptr<const drx::CompiledKernel>>>
-            plans;
+        return opts.coalesce_threshold
+                   ? static_cast<std::size_t>(opts.coalesce_threshold)
+                   : n;
+    }
 
-        Platform &plat() { return ctx->platform(); }
+    /** Fire member @p i's event at @p at (its completion reached the
+     *  host behind a notification or poll). */
+    void
+    fireAt(std::size_t i, Status st, Tick at)
+    {
+        auto self = shared_from_this();
+        plat()._eq.schedule(at, [self, i, st, at] {
+            fire(*self->state->members[i], st, at);
+            ++self->fired;
+            self->maybeFinish();
+        });
+    }
 
-        std::size_t
-        windowSize() const
-        {
-            return opts.coalesce_threshold
-                       ? static_cast<std::size_t>(opts.coalesce_threshold)
-                       : n;
+    /** Fire member @p i's event immediately (no notification). */
+    void
+    fireNow(std::size_t i, Status st)
+    {
+        fire(*state->members[i], st, plat().now());
+        ++fired;
+        maybeFinish();
+    }
+
+    void
+    maybeFinish()
+    {
+        if (fired < n || state->status != Status::Pending)
+            return;
+        state->status = first_err;
+        state->at = plat().now();
+    }
+
+    /** Pay ONE coalesced notification for the queued Ok members. */
+    void
+    flushWindow()
+    {
+        Platform &p = plat();
+        const auto notif =
+            p._irq->notifyBatch(static_cast<unsigned>(window.size()));
+        ++state->notifications;
+        if (auto *tb = trace::active()) {
+            tb->instant(trace::Category::Driver,
+                        notif.delivered ? "batch_irq" : "batch_irq_lost",
+                        "runtime.irq", p.now(),
+                        static_cast<std::uint64_t>(window.size()));
+            if (window.size() > 1)
+                tb->count("driver.suppressed_notifications", p.now(),
+                          static_cast<double>(window.size() - 1));
         }
+        const Tick at = p.now() + notif.latency;
+        for (const std::size_t i : window)
+            fireAt(i, Status::Ok, at);
+        window.clear();
+    }
 
-        /** Fire member @p i's event at @p at (its completion reached
-         *  the host behind a notification or poll). */
-        void
-        fireAt(std::size_t i, Status st, Tick at)
-        {
-            auto self = shared_from_this();
-            auto sp = state->members[i];
-            plat()._eq.schedule(at, [self, sp, st, at] {
-                fireEventState(sp, st, at);
-                ++self->fired;
-                self->maybeFinish();
-            });
+    /** A member's device work settled (Ok or terminal error). */
+    void
+    memberSettled(std::size_t i, Status st)
+    {
+        Platform &p = plat();
+        BatchRecord &rec = state->records[i];
+        rec.status = st;
+        rec.at = p.now();
+        if (chains[i]) {
+            rec.retries = chains[i]->retries;
+            rec.chain_failed_index = chains[i]->failed_index;
+        } else {
+            rec.retries = state->members[i]->retries;
+            rec.degraded = state->members[i]->degraded;
         }
-
-        /** Fire member @p i's event immediately (error-path parity
-         *  with the per-command engine: no notification). */
-        void
-        fireNow(std::size_t i, Status st)
-        {
-            fireEventState(state->members[i], st, plat().now());
-            ++fired;
-            maybeFinish();
-        }
-
-        void
-        maybeFinish()
-        {
-            if (fired < n || state->status != Status::Pending)
-                return;
-            state->status = first_err;
-            state->at = plat().now();
-        }
-
-        /** Pay ONE coalesced notification for the queued Ok members. */
-        void
-        flushWindow()
-        {
-            Platform &p = plat();
-            const auto notif = p._irq->notifyBatch(
-                static_cast<unsigned>(window.size()));
-            ++state->notifications;
-            if (auto *tb = trace::active()) {
-                tb->instant(trace::Category::Driver,
-                            notif.delivered ? "batch_irq"
-                                            : "batch_irq_lost",
-                            "runtime.irq", p.now(),
-                            static_cast<std::uint64_t>(window.size()));
-                if (window.size() > 1)
-                    tb->count("driver.suppressed_notifications", p.now(),
-                              static_cast<double>(window.size() - 1));
-            }
-            const Tick at = p.now() + notif.latency;
-            for (const std::size_t i : window)
-                fireAt(i, Status::Ok, at);
-            window.clear();
-        }
-
-        /** A member's device work settled (Ok or terminal error). */
-        void
-        memberSettled(std::size_t i, Status st)
-        {
-            Platform &p = plat();
-            BatchRecord &rec = state->records[i];
-            rec.status = st;
-            rec.at = p.now();
-            if (chain_events[i].valid()) {
-                rec.retries = chain_events[i].retries();
-                rec.chain_failed_index = chain_events[i].failedIndex();
-            } else {
-                rec.retries = state->members[i]->retries;
-                rec.degraded = state->members[i]->degraded;
-            }
-            ++settled_count;
-            if (st != Status::Ok) {
-                // Errors keep the per-command engine's delivery: the
-                // member event fires at device-settle time with no
-                // notification, so a failing member neither delays
-                // nor poisons its siblings.
-                if (first_err == Status::Ok)
-                    first_err = st;
-                fireNow(i, st);
-            } else if (!p._plan) {
-                // Fault-free platforms keep the seed's immediate host
-                // visibility (parity with the per-command settleOk).
-                fireNow(i, Status::Ok);
-            } else if (opts.completion ==
-                       BatchOptions::CompletionMode::Poll) {
-                // Completion-record polling: no interrupt, the host
-                // discovers the record at the poll detection latency.
-                const auto notif = p._irq->pollRecord();
-                if (auto *tb = trace::active())
-                    tb->instant(trace::Category::Driver, "record_poll",
-                                "runtime.irq", p.now());
-                fireAt(i, Status::Ok, p.now() + notif.latency);
-            } else {
-                window.push_back(i);
-                if (window.size() >= windowSize())
-                    flushWindow();
-            }
-            // The tail window (shrunk by failed members) flushes when
-            // the last member settles, so no completion ever waits on
-            // a window that cannot fill.
-            if (settled_count == n && !window.empty())
+        ++settled_count;
+        if (st != Status::Ok) {
+            // Errors keep the per-command engine's delivery: the member
+            // event fires at device-settle time with no notification,
+            // so a failing member neither delays nor poisons its
+            // siblings.
+            if (first_err == Status::Ok)
+                first_err = st;
+            fireNow(i, st);
+        } else if (!p._plan) {
+            // Fault-free platforms keep the seed's immediate host
+            // visibility (parity with the per-command delivery).
+            fireNow(i, Status::Ok);
+        } else if (opts.completion == BatchOptions::CompletionMode::Poll) {
+            // Completion-record polling: no interrupt, the host
+            // discovers the record at the poll detection latency.
+            const auto notif = p._irq->pollRecord();
+            if (auto *tb = trace::active())
+                tb->instant(trace::Category::Driver, "record_poll",
+                            "runtime.irq", p.now());
+            fireAt(i, Status::Ok, p.now() + notif.latency);
+        } else {
+            window.push_back(i);
+            if (window.size() >= windowSize())
                 flushWindow();
         }
-    };
-
-    /** @return an Event wrapping @p st (BatchEvent::member bridge). */
-    static Event
-    wrap(std::shared_ptr<Event::State> st)
-    {
-        Event ev;
-        ev._state = std::move(st);
-        return ev;
-    }
-
-    static void
-    launchMember(const std::shared_ptr<Batch> &b, std::size_t i,
-                 const BatchOp &op)
-    {
-        Context *ctx = op.ctx ? op.ctx : b->ctx;
-        auto on_settled = [b, i](Status st) { b->memberSettled(i, st); };
-
-        if (op.kind == BatchOp::Kind::Chain) {
-            b->chain_events[i] = enqueueChainHooked(
-                *ctx, op.chain, b->opts.chain, b->programmed,
-                std::move(on_settled));
-            return;
-        }
-
-        AttemptFn work;
-        AttemptFn fallback;
-        bool fast_failable = false;
-        switch (op.kind) {
-          case BatchOp::Kind::Copy: {
-            auto programmed = b->programmed;
-            work = [ctx, from = op.device, src = op.in, dst = op.out,
-                    dst_device = op.dst_device,
-                    programmed](AttemptResult done) {
-                Platform &p = ctx->platform();
-                const auto bytes =
-                    static_cast<std::uint64_t>(ctx->read(src).size());
-                const pcie::NodeId sn = p._devices[from].node;
-                const pcie::NodeId dn = p._devices[dst_device].node;
-                auto deliver = [ctx, src, dst, done](bool ok) {
-                    if (ok) {
-                        ctx->write(dst, ctx->read(src));
-                        Platform &plat = ctx->platform();
-                        if (plat._integrity) {
-                            // Silent payload corruption, exactly as in
-                            // enqueueCopy: the DMA reports success but
-                            // the copy differs by one flipped bit.
-                            const Bytes &got = ctx->read(dst);
-                            const auto act = plat._integrity->onPayload(
-                                static_cast<std::uint64_t>(got.size()));
-                            if (act.flip) {
-                                Bytes data = got;
-                                data[act.bit / 8] ^=
-                                    static_cast<std::uint8_t>(
-                                        1u << (act.bit % 8));
-                                ctx->write(dst, std::move(data));
-                                if (auto *tb = trace::active()) {
-                                    tb->instant(
-                                        trace::Category::Integrity,
-                                        "payload_flip", "dma",
-                                        plat.now(), act.bit);
-                                    tb->count(
-                                        "integrity.payload_flips",
-                                        plat.now());
-                                }
-                            }
-                        }
-                    }
-                    done(ok);
-                };
-                // The shared doorbell is claimed at submission (not
-                // delivery) so concurrent siblings never double-ring
-                // it; retries re-fetch their descriptor.
-                const bool first = !*programmed;
-                *programmed = true;
-                if (p._plan && p._plan->p2pFaulted()) {
-                    // Switch p2p path down: stage through the root
-                    // complex as two descriptor legs (parity with
-                    // enqueueCopy's reroute).
-                    ++p._devices[from].fstats.rerouted_copies;
-                    if (auto *tb = trace::active())
-                        tb->count("runtime.rerouted_copies", p.now());
-                    const pcie::NodeId rc = p._rc;
-                    p._fabric->startDescriptorFlow(
-                        {sn, rc, bytes}, first,
-                        [ctx, rc, dn, bytes, deliver](bool ok) {
-                            if (!ok) {
-                                deliver(false);
-                                return;
-                            }
-                            ctx->platform()._fabric->startDescriptorFlow(
-                                {rc, dn, bytes}, false, deliver);
-                        });
-                    return;
-                }
-                p._fabric->startDescriptorFlow({sn, dn, bytes}, first,
-                                               deliver);
-            };
-            fast_failable = false;
-            break;
-          }
-          case BatchOp::Kind::Kernel: {
-            work = [ctx, device = op.device, in = op.in,
-                    out = op.out](AttemptResult done) {
-                Platform &p = ctx->platform();
-                Platform::Device &d = p._devices[device];
-                kernels::OpCount opsc;
-                Bytes result = d.fn(ctx->read(in), opsc);
-                const Cycles cycles = accel::kernelCycles(d.spec, opsc);
-                d.unit->submitChecked(
-                    cycles, [ctx, out, done,
-                             result = std::move(result)](bool ok) mutable {
-                        if (ok)
-                            ctx->write(out, std::move(result));
-                        done(ok);
-                    });
-            };
-            fast_failable = true;
-            break;
-          }
-          case BatchOp::Kind::Restructure: {
-            auto kcopies =
-                std::make_shared<std::vector<restructure::Kernel>>(
-                    op.kernels);
-            auto plans = b->plans[i];
-            work = [ctx, device = op.device, in = op.in, out = op.out,
-                    kcopies, plans](AttemptResult done) {
-                Platform &p = ctx->platform();
-                Platform::Device &d = p._devices[device];
-                d.machine->resetAlloc();
-                drx::RunResult total;
-                restructure::Bytes cur = ctx->read(in);
-                bool faulted = false;
-                for (std::size_t j = 0; j < plans.size(); ++j) {
-                    const auto installed =
-                        drx::installPlan(plans[j], *d.machine);
-                    restructure::Bytes out_bytes;
-                    const drx::RunResult res = drx::runPlanOnDrx(
-                        (*kcopies)[j].name, *installed, cur, *d.machine,
-                        &out_bytes, p.now());
-                    total += res;
-                    if (res.faulted) {
-                        faulted = true;
-                        break;
-                    }
-                    cur = std::move(out_bytes);
-                }
-                if (faulted) {
-                    // The machine trapped: charge the trap handling on
-                    // the unit, then report the device error.
-                    d.unit->submitChecked(total.total_cycles,
-                                          [done](bool) { done(false); });
-                    return;
-                }
-                auto result = std::make_shared<restructure::Bytes>(
-                    std::move(cur));
-                d.unit->submitChecked(
-                    total.total_cycles,
-                    [ctx, out, done, result](bool ok) {
-                        if (ok)
-                            ctx->write(out, std::move(*result));
-                        done(ok);
-                    });
-            };
-            // Degradation path: byte-identical restructuring on the
-            // host pool, costed like the paper's CPU baseline.
-            fallback = [ctx, in = op.in, out = op.out,
-                        kcopies](AttemptResult done) {
-                Platform &p = ctx->platform();
-                double core_seconds = 0;
-                Bytes cur = ctx->read(in);
-                for (const restructure::Kernel &k : *kcopies) {
-                    kernels::OpCount opsc;
-                    cur = restructure::executeOnCpu(k, cur, &opsc);
-                    core_seconds +=
-                        cpu::restructureCoreSeconds(opsc, p._host_params);
-                }
-                p._host->submit(
-                    core_seconds, p._host_params.max_job_cores,
-                    [ctx, out, done, cur = std::move(cur)]() mutable {
-                        ctx->write(out, std::move(cur));
-                        done(true);
-                    });
-            };
-            fast_failable = false;
-            break;
-          }
-          case BatchOp::Kind::Chain:
-            return; // handled above
-        }
-        launchBatchMember(*ctx, op.device, std::move(work),
-                          std::move(fallback), fast_failable,
-                          b->state->members[i], std::move(on_settled));
-    }
-
-    static BatchEvent
-    submit(Context &ctx, const std::vector<BatchOp> &ops,
-           const BatchOptions &opts)
-    {
-        Platform &p = ctx.platform();
-        BatchEvent ev;
-        ev._state = std::make_shared<BatchState>();
-        ev._state->records.resize(ops.size());
-        ev._state->members.reserve(ops.size());
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            ev._state->members.push_back(
-                std::make_shared<Event::State>());
-        if (ops.empty()) {
-            ev._state->status = Status::Ok;
-            ev._state->at = p.now();
-            return ev;
-        }
-
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const BatchOp &op = ops[i];
-            if (op.ctx && &op.ctx->platform() != &p)
-                dmx_fatal("submitBatch: member %zu's context belongs "
-                          "to another platform", i);
-            if (op.kind == BatchOp::Kind::Chain)
-                continue; // the chain engine validates its own ops
-            if (op.device >= p._devices.size())
-                dmx_fatal("submitBatch: bad device %zu in member %zu",
-                          op.device, i);
-            switch (op.kind) {
-              case BatchOp::Kind::Copy:
-                if (op.dst_device >= p._devices.size())
-                    dmx_fatal("submitBatch: bad copy destination %zu "
-                              "in member %zu", op.dst_device, i);
-                break;
-              case BatchOp::Kind::Kernel:
-                if (p._devices[op.device].is_drx)
-                    dmx_fatal("submitBatch: Kernel member %zu on DRX "
-                              "device '%s'; use Restructure", i,
-                              p._devices[op.device].name.c_str());
-                break;
-              case BatchOp::Kind::Restructure:
-                if (!p._devices[op.device].is_drx)
-                    dmx_fatal("submitBatch: Restructure member %zu on "
-                              "accelerator '%s'", i,
-                              p._devices[op.device].name.c_str());
-                if (op.kernels.empty())
-                    dmx_fatal("submitBatch: Restructure member %zu has "
-                              "no kernels", i);
-                break;
-              case BatchOp::Kind::Chain:
-                break;
-            }
-        }
-
-        auto b = std::make_shared<Batch>();
-        b->ctx = &ctx;
-        b->opts = opts;
-        b->state = ev._state;
-        b->n = ops.size();
-        b->chain_events.resize(ops.size());
-        b->plans.resize(ops.size());
-
-        // Plan every Restructure member up front (through the
-        // platform's compiled-kernel cache when enabled), mirroring
-        // the chain engine: retries reinstall instead of recompiling.
-        const bool cached = p.platformConfig().drx_cache.enabled;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const BatchOp &op = ops[i];
-            if (op.kind != BatchOp::Kind::Restructure)
-                continue;
-            Context *mctx = op.ctx ? op.ctx : &ctx;
-            Platform &mp = mctx->platform();
-            const drx::DrxConfig &cfg =
-                mp._devices[op.device].machine->config();
-            for (const restructure::Kernel &k : op.kernels) {
-                if (cached) {
-                    b->plans[i].push_back(
-                        mp.drxCache().lookup(k, cfg, mp.now()).compiled);
-                } else {
-                    b->plans[i].push_back(
-                        std::make_shared<const drx::CompiledKernel>(
-                            drx::planKernel(k, cfg)));
-                }
-            }
-        }
-
-        if (auto *tb = trace::active()) {
-            tb->instant(trace::Category::Command, "batch_submit",
-                        "runtime.batch", p.now(),
-                        static_cast<std::uint64_t>(ops.size()));
-        }
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            launchMember(b, i, ops[i]);
-        return ev;
+        // The tail window (shrunk by failed members) flushes when the
+        // last member settles, so no completion ever waits on a window
+        // that cannot fill.
+        if (settled_count == n && !window.empty())
+            flushWindow();
     }
 };
 
@@ -484,14 +182,77 @@ BatchEvent::member(std::size_t i) const
     if (i >= _state->members.size())
         dmx_fatal("BatchEvent::member: index %zu out of %zu", i,
                   _state->members.size());
-    return detail::BatchEngine::wrap(_state->members[i]);
+    Event ev;
+    ev._state = _state->members[i];
+    return ev;
 }
 
 BatchEvent
 submitBatch(Context &ctx, const std::vector<BatchOp> &ops,
             const BatchOptions &opts)
 {
-    return detail::BatchEngine::submit(ctx, ops, opts);
+    using detail::Core;
+    Platform &p = ctx.platform();
+    BatchEvent ev;
+    ev._state = std::make_shared<detail::BatchState>();
+    ev._state->records.resize(ops.size());
+    ev._state->members.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        ev._state->members.push_back(std::make_shared<Event::State>());
+    if (ops.empty()) {
+        ev._state->status = Status::Ok;
+        ev._state->at = p.now();
+        return ev;
+    }
+
+    // A non-Chain member is a one-element chain: its descriptor (the
+    // first three kinds match ChainOp's value for value) validated and
+    // planned up front, so retries reinstall instead of recompiling.
+    static_assert(static_cast<int>(BatchOp::Kind::Restructure) ==
+                  static_cast<int>(ChainOp::Kind::Restructure));
+    std::vector<ChainOp> descs(ops.size());
+    std::vector<Core::Plans> plans(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const BatchOp &op = ops[i];
+        if (op.ctx && &op.ctx->platform() != &p)
+            dmx_fatal("submitBatch: member %zu's context belongs to "
+                      "another platform", i);
+        if (op.kind == BatchOp::Kind::Chain)
+            continue; // validated when its chain launches
+        descs[i] = {static_cast<ChainOp::Kind>(op.kind), op.device,
+                    op.dst_device, op.in, op.out, op.kernels};
+        if (const char *why = Core::invalid(p, descs[i]))
+            dmx_fatal("submitBatch: member %zu %s", i, why);
+        plans[i] = Core::plan(p, descs[i], false);
+    }
+
+    auto b = std::make_shared<Core::Batch>();
+    b->ctx = &ctx;
+    b->opts = opts;
+    b->state = ev._state;
+    b->n = ops.size();
+    b->chains.resize(ops.size());
+    if (auto *tb = trace::active()) {
+        tb->instant(trace::Category::Command, "batch_submit",
+                    "runtime.batch", p.now(),
+                    static_cast<std::uint64_t>(ops.size()));
+    }
+    const Core::Doorbell bell{b->programmed, true};
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        Context &mctx = ops[i].ctx ? *ops[i].ctx : ctx;
+        auto settled = [b, i](Status st) { b->memberSettled(i, st); };
+        if (ops[i].kind == BatchOp::Kind::Chain) {
+            b->chains[i] = std::make_shared<detail::ChainState>();
+            Core::launchChain(mctx, b->chains[i], ops[i].chain, opts.chain,
+                              bell, std::move(settled));
+        } else {
+            Core::launchCommand(mctx, std::move(descs[i]),
+                                std::move(plans[i]), bell,
+                                ev._state->members[i], std::move(settled),
+                                nullptr);
+        }
+    }
+    return ev;
 }
 
 } // namespace dmx::runtime

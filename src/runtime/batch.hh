@@ -7,28 +7,27 @@
  * instead packs N pending commands - copies, kernels, restructures,
  * whole descriptor chains - into one submission the way Intel DSA
  * batches descriptors: the host writes every descriptor, rings ONE
- * doorbell (the batch's first fabric submission pays dma_setup, every
- * later one only a descriptor fetch), and completions are delivered
- * coalesced - one driver notification per coalescing window - or
- * discovered by host completion-record polls, never one interrupt per
- * member.
+ * doorbell, and completions are delivered coalesced - one driver
+ * notification per coalescing window - or discovered by host
+ * completion-record polls, never one interrupt per member.
  *
- * Reliability contract (deliberately identical to the per-command
- * engine, observed per member):
- *  - admission control, the per-attempt watchdog, retry backoff, the
- *    deadline budget, breaker/health feedback and the CPU fallback all
- *    apply PER MEMBER, exactly as for an individually enqueued
- *    command; a batch never widens any budget;
- *  - one member failing never poisons its siblings: each member
- *    settles independently and leaves a per-member BatchRecord
- *    (status, settle tick, retries), mirroring the chain engine's
- *    DescriptorRecords;
- *  - failed members report at device-settle time with no notification
- *    (parity with the per-command error path); only successful
- *    completions ride the coalesced notification or the record poll.
+ * A non-Chain member is a one-descriptor command and a Chain member a
+ * descriptor chain, both run by the same core as individually enqueued
+ * commands and chains (runtime/core.hh): admission control, the
+ * watchdog, the retry rule, breaker/health feedback and the CPU
+ * fallback apply PER MEMBER, so a batch never widens any budget. Two
+ * things differ from individual submission:
+ *  - who pays dma_setup: the batch shares one programmed flag, claimed
+ *    by its first fabric submission (full dma_setup); every later
+ *    member leg, a rerouted second leg included, is a descriptor fetch;
+ *  - completion delivery: Ok members ride the coalesced notification
+ *    or the record poll; failed members report at device-settle time
+ *    with no notification. One member failing never poisons its
+ *    siblings: each settles independently and leaves a BatchRecord
+ *    (status, settle tick, retries).
  *
- * Default-off: nothing in the legacy enqueue path changes; a platform
- * that never calls submitBatch behaves byte-identically to before.
+ * Default-off: a platform that never calls submitBatch behaves
+ * byte-identically to one without it.
  */
 
 #ifndef DMX_RUNTIME_BATCH_HH
@@ -171,7 +170,8 @@ class BatchEvent
     }
 
   private:
-    friend struct detail::BatchEngine;
+    friend BatchEvent submitBatch(Context &, const std::vector<BatchOp> &,
+                                  const BatchOptions &);
     std::shared_ptr<detail::BatchState> _state;
 };
 

@@ -3,9 +3,8 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "drx/fusion.hh"
 #include "integrity/checksum.hh"
-#include "integrity/integrity.hh"
+#include "runtime/core.hh"
 #include "trace/trace.hh"
 
 namespace dmx::runtime
@@ -36,506 +35,183 @@ namespace detail
 {
 
 /**
- * The chain execution engine: one Run per enqueueChain call, kept
- * alive by the callbacks scheduled against it. Mirrors the per-command
- * CommandEngine's recovery semantics (health/breaker feedback, retry
- * backoff with the platform's jitter stream, deadline budget) at chain
- * granularity: a single watchdog and a single driver notification
- * cover all descriptors.
+ * The per-chain-watchdog runner: one Chain per submission, kept alive
+ * by the callbacks scheduled against it. Descriptor i+1 starts when i
+ * settles Ok; each descriptor retries under the core's retry rule, and
+ * one watchdog covers them all.
  */
-struct ChainEngine
+struct Core::Chain : std::enable_shared_from_this<Chain>
 {
-    struct Run : std::enable_shared_from_this<Run>
+    Context *ctx = nullptr;
+    std::vector<ChainOp> ops;
+    std::vector<Plans> plans; ///< per descriptor (Restructure only)
+    ChainOptions opts;
+    Doorbell bell;
+    std::shared_ptr<ChainState> state;
+    SettleFn settled;
+    sim::EventHandle watchdog;
+    Tick deadline_at = 0;   ///< absolute settle-by tick (0 = none)
+    std::size_t cursor = 0; ///< descriptor currently in flight
+    bool over = false;      ///< settled: late completions are dropped
+
+    Platform &plat() { return ctx->platform(); }
+
+    void
+    settle(Status st, int failed_i)
     {
-        Context *ctx = nullptr;
-        std::vector<ChainOp> ops;
-        ChainOptions opts;
-        std::shared_ptr<ChainState> state;
-        /// Per-op compiled plans (Restructure ops only): one fused
-        /// plan, or one plan per kernel part when fusion is off or
-        /// rejected.
-        std::vector<std::vector<std::shared_ptr<const drx::CompiledKernel>>>
-            plans;
-        sim::EventHandle watchdog;
-        Tick deadline_at = 0;    ///< absolute settle-by tick (0 = none)
-        std::size_t cursor = 0;  ///< descriptor currently in flight
-        /// A descriptor flow has delivered: the engine is programmed,
-        /// so later Copy descriptors pay only the descriptor fetch.
-        bool programmed = false;
-        /// Batch-shared programming flag: when set (the chain runs as
-        /// a batch member), the first-Copy doorbell decision is shared
-        /// with the enclosing batch's other members.
-        std::shared_ptr<bool> ext_programmed;
-        /// Batch hook: when set, the chain reports its terminal status
-        /// here at device-settle time instead of paying its own driver
-        /// notification - the batch coalesces completion delivery.
-        std::function<void(Status)> on_settled;
+        if (over)
+            return;
+        over = true;
+        watchdog.cancel();
+        state->failed_index = failed_i;
+        settled(st);
+    }
 
-        Platform &plat() { return ctx->platform(); }
-
-        bool
-        isProgrammed() const
-        {
-            return ext_programmed ? *ext_programmed : programmed;
-        }
-
-        void
-        markProgrammed()
-        {
-            programmed = true;
-            if (ext_programmed)
-                *ext_programmed = true;
-        }
-
-        /** @return backoff before the retry of failed attempt @p n
-         *  (same math and jitter stream as the per-command engine). */
-        Tick
-        backoff(unsigned n)
-        {
-            Platform &p = plat();
-            const CommandPolicy &pol = p._policy;
-            double delay = static_cast<double>(pol.backoff_base);
-            for (unsigned k = 0; k < n; ++k)
-                delay *= pol.backoff_mult;
-            delay *= 1.0 + pol.jitter_frac * p._jitter.uniform();
-            return static_cast<Tick>(delay);
-        }
-
-        void
-        settle(Status st, int failed_i)
-        {
-            if (state->status != Status::Pending)
-                return;
-            watchdog.cancel();
-            state->failed_index = failed_i;
-            Platform &p = plat();
-            if (on_settled) {
-                // Batch member: settle at device time; the enclosing
-                // batch owns (and coalesces) the driver notification.
-                state->status = st;
-                state->at = p.now();
-                on_settled(st);
-                return;
-            }
-            if (st == Status::Ok && p._plan) {
-                // The single driver notification of the whole chain:
-                // the host learns of completion through the irq path
-                // once, not once per descriptor.
-                const auto notif = p._irq->notifyChecked();
-                const Tick at = p.now() + notif.latency;
-                auto sp = state;
-                p._eq.schedule(at, [sp, at] {
-                    sp->status = Status::Ok;
-                    sp->at = at;
-                });
-                return;
-            }
-            state->status = st;
-            state->at = p.now();
-        }
-
-        void
-        opDone(std::size_t i, unsigned n, bool ok)
-        {
-            if (state->status != Status::Pending)
-                return;
-            Platform &p = plat();
-            Platform::Device &d = p._devices[ops[i].device];
-            DescriptorRecord &rec = state->records[i];
-            if (ok) {
-                d.health.recordSuccess();
-                if (d.breaker)
-                    d.breaker->recordSuccess(p.now());
-                rec.status = Status::Ok;
-                rec.at = p.now();
-                if (i + 1 < ops.size()) {
-                    auto self = shared_from_this();
-                    p._eq.scheduleIn(
-                        0, [self, i] { self->runOp(i + 1, 0); });
-                } else {
-                    settle(Status::Ok, -1);
-                }
-                return;
-            }
-            d.health.recordFailure();
-            if (d.breaker)
-                d.breaker->recordFailure(p.now());
-            ++d.fstats.failures;
-            if (n >= p._policy.max_retries) {
-                rec.status = Status::Failed;
-                rec.at = p.now();
-                ++d.fstats.commands_failed;
-                settle(Status::Failed, static_cast<int>(i));
-                return;
-            }
-            const Tick delay = backoff(n);
-            // Deadline-budgeted retries clip against the chain-wide
-            // deadline, not a per-descriptor one.
-            if (deadline_at && p.now() + delay >= deadline_at) {
-                ++d.fstats.deadline_exhausted;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.deadline_exhausted", p.now());
-                rec.status = Status::TimedOut;
-                rec.at = p.now();
-                ++d.fstats.commands_failed;
-                settle(Status::TimedOut, static_cast<int>(i));
-                return;
-            }
-            ++state->retries;
-            ++d.fstats.retries;
-            if (auto *tb = trace::active()) {
-                tb->count("runtime.retries", p.now());
-                tb->span(trace::Category::Retry, "backoff", d.name,
-                         p.now(), p.now() + delay, n);
-            }
-            auto self = shared_from_this();
-            p._eq.scheduleIn(delay,
-                             [self, i, n] { self->runOp(i, n + 1); });
-        }
-
-        void
-        runCopy(std::size_t i, unsigned n)
-        {
-            Platform &p = plat();
-            const ChainOp &op = ops[i];
-            Platform::Device &d = p._devices[op.device];
-            const auto bytes =
-                static_cast<std::uint64_t>(ctx->read(op.in).size());
-            const pcie::NodeId sn = d.node;
-            const pcie::NodeId dn = p._devices[op.dst_device].node;
-            const bool first = !isProgrammed();
-            // Batch members claim the shared doorbell at submission
-            // (not delivery) so concurrent siblings never double-ring
-            // it; a standalone chain keeps the delivery-time marking.
-            if (ext_programmed)
-                *ext_programmed = true;
-
-            auto self = shared_from_this();
-            auto deliver = [self, i, n](bool ok) {
-                if (self->state->status != Status::Pending)
-                    return;
-                Platform &plat = self->plat();
-                const ChainOp &cop = self->ops[i];
-                if (!ok) {
-                    self->opDone(i, n, false);
-                    return;
-                }
-                self->markProgrammed();
-                self->ctx->write(cop.out, self->ctx->read(cop.in));
-                if (plat._integrity) {
-                    // Silent payload corruption, exactly as in
-                    // enqueueCopy: the descriptor reports success but
-                    // the delivered copy differs by one flipped bit.
-                    const Bytes &got = self->ctx->read(cop.out);
-                    const auto act = plat._integrity->onPayload(
-                        static_cast<std::uint64_t>(got.size()));
-                    if (act.flip) {
-                        Bytes data = got;
-                        data[act.bit / 8] ^= static_cast<std::uint8_t>(
-                            1u << (act.bit % 8));
-                        self->ctx->write(cop.out, std::move(data));
-                        if (auto *tb = trace::active()) {
-                            tb->instant(trace::Category::Integrity,
-                                        "payload_flip", "dma",
-                                        plat.now(), act.bit);
-                            tb->count("integrity.payload_flips",
-                                      plat.now());
-                        }
-                    }
-                }
-                if (self->opts.hop_crc) {
-                    // Engine-level hop CRC: generate over the intact
-                    // producer buffer plus verify over the delivered
-                    // copy, charged back-to-back before the outcome
-                    // lands. A mismatch fails this attempt; the retry
-                    // re-DMAs from the intact source.
-                    const auto sz = static_cast<double>(
-                        self->ctx->read(cop.out).size());
-                    const Tick cost = secondsToTicks(
-                        2.0 * sz / self->opts.crc_bytes_per_sec);
-                    plat._eq.scheduleIn(cost, [self, i, n] {
-                        if (self->state->status != Status::Pending)
-                            return;
-                        const ChainOp &o = self->ops[i];
-                        const bool match =
-                            integrity::crc32(self->ctx->read(o.in)) ==
-                            integrity::crc32(self->ctx->read(o.out));
-                        if (!match) {
-                            ++self->state->records[i].crc_mismatches;
-                            if (auto *tb = trace::active())
-                                tb->count("integrity.chain_crc_mismatches",
-                                          self->plat().now());
-                        }
-                        self->opDone(i, n, match);
-                    });
-                    return;
-                }
-                self->opDone(i, n, true);
-            };
-
-            if (p._plan && p._plan->p2pFaulted()) {
-                // Switch p2p path down: stage through the root complex
-                // as two descriptor legs (parity with enqueueCopy's
-                // reroute; only the first leg of the chain's first
-                // descriptor pays the full setup).
-                ++d.fstats.rerouted_copies;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.rerouted_copies", p.now());
-                const pcie::NodeId rc = p._rc;
-                p._fabric->startDescriptorFlow(
-                    {sn, rc, bytes}, first,
-                    [self, rc, dn, bytes, deliver](bool ok) {
-                        if (!ok) {
-                            deliver(false);
-                            return;
-                        }
-                        self->plat()._fabric->startDescriptorFlow(
-                            {rc, dn, bytes}, false, deliver);
-                    });
-                return;
-            }
-            p._fabric->startDescriptorFlow({sn, dn, bytes}, first,
-                                           deliver);
-        }
-
-        void
-        runKernel(std::size_t i, unsigned n)
-        {
-            Platform &p = plat();
-            const ChainOp &op = ops[i];
-            Platform::Device &d = p._devices[op.device];
-            kernels::OpCount opsc;
-            Bytes result = d.fn(ctx->read(op.in), opsc);
-            const Cycles cycles = accel::kernelCycles(d.spec, opsc);
-            auto self = shared_from_this();
-            d.unit->submitChecked(
-                cycles,
-                [self, i, n, result = std::move(result)](bool ok) mutable {
-                    if (self->state->status != Status::Pending)
-                        return;
-                    if (ok)
-                        self->ctx->write(self->ops[i].out,
-                                         std::move(result));
-                    self->opDone(i, n, ok);
-                });
-        }
-
-        void
-        runRestructure(std::size_t i, unsigned n)
-        {
-            Platform &p = plat();
-            const ChainOp &op = ops[i];
-            Platform::Device &d = p._devices[op.device];
-            d.machine->resetAlloc();
-            drx::RunResult total;
-            restructure::Bytes cur = ctx->read(op.in);
-            bool faulted = false;
-            const bool fused = plans[i].size() == 1 &&
-                               op.kernels.size() > 1;
-            for (std::size_t j = 0; j < plans[i].size(); ++j) {
-                const auto installed =
-                    drx::installPlan(plans[i][j], *d.machine);
-                const std::string &name =
-                    fused ? op.kernels.front().name : op.kernels[j].name;
-                restructure::Bytes out_bytes;
-                const drx::RunResult res =
-                    drx::runPlanOnDrx(name, *installed, cur, *d.machine,
-                                      &out_bytes, p.now());
-                total += res;
-                if (res.faulted) {
-                    faulted = true;
-                    break;
-                }
-                cur = std::move(out_bytes);
-            }
-            auto self = shared_from_this();
-            if (faulted) {
-                // The machine trapped: charge the trap handling on the
-                // unit, then report the device error at that time.
-                d.unit->submitChecked(total.total_cycles,
-                                      [self, i, n](bool) {
-                                          if (self->state->status !=
-                                              Status::Pending)
-                                              return;
-                                          self->opDone(i, n, false);
-                                      });
-                return;
-            }
-            auto result =
-                std::make_shared<restructure::Bytes>(std::move(cur));
-            d.unit->submitChecked(
-                total.total_cycles, [self, i, n, result](bool ok) {
-                    if (self->state->status != Status::Pending)
-                        return;
-                    if (ok)
-                        self->ctx->write(self->ops[i].out,
-                                         std::move(*result));
-                    self->opDone(i, n, ok);
-                });
-        }
-
-        void
-        runOp(std::size_t i, unsigned n)
-        {
-            if (state->status != Status::Pending)
-                return; // the chain watchdog already fired
-            Platform &p = plat();
-            cursor = i;
-            ++state->records[i].attempts;
-            ++p._devices[ops[i].device].fstats.attempts;
-            switch (ops[i].kind) {
-              case ChainOp::Kind::Copy:
-                runCopy(i, n);
-                return;
-              case ChainOp::Kind::Kernel:
-                runKernel(i, n);
-                return;
-              case ChainOp::Kind::Restructure:
-                runRestructure(i, n);
-                return;
-            }
-        }
-    };
-
-    static ChainEvent
-    submit(Context &ctx, const std::vector<ChainOp> &ops,
-           const ChainOptions &opts,
-           std::shared_ptr<bool> ext_programmed = nullptr,
-           std::function<void(Status)> on_settled = nullptr)
+    /** Settle the chain non-Ok at descriptor @p i. */
+    void
+    fail(std::size_t i, Status st)
     {
-        Platform &p = ctx.platform();
-        ChainEvent ev;
-        ev._state = std::make_shared<ChainState>();
-        ev._state->records.resize(ops.size());
-        if (ops.empty()) {
-            ev._state->status = Status::Ok;
-            ev._state->at = p.now();
-            if (on_settled)
-                on_settled(Status::Ok);
-            return ev;
+        Platform &p = plat();
+        DescriptorRecord &rec = state->records[i];
+        if (rec.status == Status::Pending) {
+            rec.status = st;
+            rec.at = p.now();
         }
+        ++p._devices[ops[i].device].fstats.commands_failed;
+        settle(st, static_cast<int>(i));
+    }
 
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const ChainOp &op = ops[i];
-            if (op.device >= p._devices.size())
-                dmx_fatal("enqueueChain: bad device %zu in op %zu",
-                          op.device, i);
-            switch (op.kind) {
-              case ChainOp::Kind::Copy:
-                if (op.dst_device >= p._devices.size())
-                    dmx_fatal("enqueueChain: bad copy destination %zu "
-                              "in op %zu", op.dst_device, i);
-                break;
-              case ChainOp::Kind::Kernel:
-                if (p._devices[op.device].is_drx)
-                    dmx_fatal("enqueueChain: Kernel op %zu on DRX "
-                              "device '%s'; use Restructure", i,
-                              p._devices[op.device].name.c_str());
-                break;
-              case ChainOp::Kind::Restructure:
-                if (!p._devices[op.device].is_drx)
-                    dmx_fatal("enqueueChain: Restructure op %zu on "
-                              "accelerator '%s'", i,
-                              p._devices[op.device].name.c_str());
-                if (op.kernels.empty())
-                    dmx_fatal("enqueueChain: Restructure op %zu has no "
-                              "kernels", i);
-                break;
-            }
+    void
+    opDone(std::size_t i, unsigned n, bool ok)
+    {
+        if (over)
+            return;
+        Platform &p = plat();
+        auto self = shared_from_this();
+        if (ok) {
+            attemptOk(p, ops[i].device);
+            state->records[i].status = Status::Ok;
+            state->records[i].at = p.now();
+            if (i + 1 < ops.size())
+                p._eq.scheduleIn(0, [self, i] { self->runOp(i + 1, 0); });
+            else
+                settle(Status::Ok, -1);
+            return;
         }
-
-        auto run = std::make_shared<Run>();
-        run->ctx = &ctx;
-        run->ops = ops;
-        run->opts = opts;
-        run->state = ev._state;
-        run->ext_programmed = std::move(ext_programmed);
-        run->on_settled = std::move(on_settled);
-        run->plans.resize(ops.size());
-
-        // Plan every Restructure descriptor up front (through the
-        // platform's compiled-kernel cache when enabled): retries
-        // reinstall instead of recompiling, and the fused plan is
-        // memoized alongside the per-kernel plans.
-        const bool cached = p.platformConfig().drx_cache.enabled;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const ChainOp &op = ops[i];
-            if (op.kind != ChainOp::Kind::Restructure)
-                continue;
-            const drx::DrxConfig &cfg =
-                p._devices[op.device].machine->config();
-            const auto planOne = [&](const restructure::Kernel &k) {
-                if (cached)
-                    return p.drxCache().lookup(k, cfg, p.now()).compiled;
-                return std::shared_ptr<const drx::CompiledKernel>(
-                    std::make_shared<const drx::CompiledKernel>(
-                        drx::planKernel(k, cfg)));
-            };
-            if (opts.fuse && op.kernels.size() > 1) {
-                const drx::FusedChainPlan fp = drx::planFusedChain(
-                    op.kernels, cfg, cached ? &p.drxCache() : nullptr,
-                    p.now());
-                if (fp.verdict.ok && fp.compiled) {
-                    run->plans[i] = {fp.compiled};
-                    ev._state->records[i].fused = true;
-                    continue;
-                }
-            }
-            for (const restructure::Kernel &k : op.kernels)
-                run->plans[i].push_back(planOne(k));
+        // Deadline-budgeted retries clip against the chain-wide
+        // deadline, not a per-descriptor one.
+        const Retry r =
+            retryRule(*ctx, ops[i].device, n, Status::Failed, deadline_at);
+        if (r.settle != Status::Pending) {
+            fail(i, r.settle);
+            return;
         }
+        ++state->retries;
+        p._eq.scheduleIn(r.delay, [self, i, n] { self->runOp(i, n + 1); });
+    }
 
-        // ONE watchdog armed over the whole chain: the per-command
-        // timeout scaled by the descriptor count, clipped ONCE by the
-        // remaining deadline budget - a chained submission must not
-        // re-clip per hop (that would multiply the deadline by the
-        // chain length).
-        const CommandPolicy &pol = p._policy;
-        Tick budget =
-            pol.timeout ? pol.timeout * static_cast<Tick>(ops.size())
-                        : 0;
-        if (pol.deadline) {
-            run->deadline_at = p.now() + pol.deadline;
-            if (budget == 0 || pol.deadline < budget) {
-                budget = pol.deadline;
-                ev._state->deadline_clipped = true;
-            }
-        }
-        if (budget > 0) {
-            run->watchdog = p._eq.scheduleIn(budget, [run] {
-                if (run->state->status != Status::Pending)
-                    return;
-                Platform &plat = run->plat();
-                Platform::Device &d =
-                    plat._devices[run->ops[run->cursor].device];
-                ++d.fstats.timeouts;
-                ++d.fstats.commands_failed;
+    /**
+     * Engine-level hop CRC: generate over the intact producer buffer
+     * plus verify over the delivered copy, charged back-to-back before
+     * the outcome lands. A mismatch fails this attempt; the retry
+     * re-DMAs from the intact source.
+     */
+    void
+    verifyHop(std::size_t i, unsigned n)
+    {
+        const auto sz = static_cast<double>(ctx->read(ops[i].out).size());
+        const Tick cost = secondsToTicks(2.0 * sz / opts.crc_bytes_per_sec);
+        auto self = shared_from_this();
+        plat()._eq.scheduleIn(cost, [self, i, n] {
+            if (self->over)
+                return;
+            const ChainOp &o = self->ops[i];
+            const bool match = integrity::crc32(self->ctx->read(o.in)) ==
+                               integrity::crc32(self->ctx->read(o.out));
+            if (!match) {
+                ++self->state->records[i].crc_mismatches;
                 if (auto *tb = trace::active())
-                    tb->count("runtime.timeouts", plat.now());
-                DescriptorRecord &rec =
-                    run->state->records[run->cursor];
-                if (rec.status == Status::Pending) {
-                    rec.status = Status::TimedOut;
-                    rec.at = plat.now();
-                }
-                run->settle(Status::TimedOut,
-                            static_cast<int>(run->cursor));
-            });
-        }
+                    tb->count("integrity.chain_crc_mismatches",
+                              self->plat().now());
+            }
+            self->opDone(i, n, match);
+        });
+    }
 
-        p._eq.scheduleIn(0, [run] { run->runOp(0, 0); });
-        return ev;
+    void
+    runOp(std::size_t i, unsigned n)
+    {
+        if (over)
+            return; // the chain watchdog already fired
+        cursor = i;
+        ++state->records[i].attempts;
+        auto self = shared_from_this();
+        attempt(*ctx, ops[i], plans[i], bell, &over,
+                [self, i, n](bool ok) {
+                    if (ok && self->opts.hop_crc &&
+                        self->ops[i].kind == ChainOp::Kind::Copy)
+                        self->verifyHop(i, n);
+                    else
+                        self->opDone(i, n, ok);
+                });
     }
 };
 
-ChainEvent
-enqueueChainHooked(Context &ctx, const std::vector<ChainOp> &ops,
-                   const ChainOptions &opts,
-                   std::shared_ptr<bool> ext_programmed,
-                   std::function<void(Status)> on_settled)
+void
+Core::launchChain(Context &ctx, std::shared_ptr<ChainState> st,
+                  const std::vector<ChainOp> &ops, const ChainOptions &opts,
+                  Doorbell bell, SettleFn settled)
 {
-    return ChainEngine::submit(ctx, ops, opts, std::move(ext_programmed),
-                               std::move(on_settled));
+    Platform &p = ctx.platform();
+    st->records.resize(ops.size());
+    if (ops.empty()) {
+        settled(Status::Ok);
+        return;
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        if (const char *why = invalid(p, ops[i]))
+            dmx_fatal("enqueueChain: op %zu %s", i, why);
+
+    auto run = std::make_shared<Chain>();
+    run->ctx = &ctx;
+    run->ops = ops;
+    run->opts = opts;
+    run->bell = std::move(bell);
+    run->state = st;
+    run->settled = std::move(settled);
+    run->plans.reserve(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        run->plans.push_back(plan(p, ops[i], opts.fuse));
+        st->records[i].fused = run->plans[i].size() < ops[i].kernels.size();
+    }
+
+    // ONE watchdog armed over the whole chain: the per-command timeout
+    // scaled by the descriptor count, clipped ONCE by the remaining
+    // deadline budget - a chained submission must not re-clip per hop
+    // (that would multiply the deadline by the chain length).
+    const CommandPolicy &pol = p._policy;
+    Tick budget =
+        pol.timeout ? pol.timeout * static_cast<Tick>(ops.size()) : 0;
+    if (pol.deadline) {
+        run->deadline_at = p.now() + pol.deadline;
+        if (budget == 0 || pol.deadline < budget) {
+            budget = pol.deadline;
+            st->deadline_clipped = true;
+        }
+    }
+    if (budget > 0) {
+        run->watchdog = p._eq.scheduleIn(budget, [run] {
+            if (run->over)
+                return;
+            Platform &plat = run->plat();
+            ++plat._devices[run->ops[run->cursor].device].fstats.timeouts;
+            if (auto *tb = trace::active())
+                tb->count("runtime.timeouts", plat.now());
+            run->fail(run->cursor, Status::TimedOut);
+        });
+    }
+
+    p._eq.scheduleIn(0, [run] { run->runOp(0, 0); });
 }
 
 } // namespace detail
@@ -544,7 +220,22 @@ ChainEvent
 enqueueChain(Context &ctx, const std::vector<ChainOp> &ops,
              const ChainOptions &opts)
 {
-    return detail::ChainEngine::submit(ctx, ops, opts);
+    // A standalone chain rings the doorbell with its first copy and
+    // marks the engine programmed once that copy delivers; it hears
+    // back once, through the same per-submission notification an
+    // enqueued command pays. An empty chain completes at submission.
+    using detail::Core;
+    Platform &p = ctx.platform();
+    ChainEvent ev;
+    ev._state = std::make_shared<detail::ChainState>();
+    if (ops.empty()) {
+        Core::fire(*ev._state, Status::Ok, p.now());
+        return ev;
+    }
+    Core::launchChain(ctx, ev._state, ops, opts,
+                      {std::make_shared<bool>(false), false},
+                      Core::toHost(p, ev._state));
+    return ev;
 }
 
 } // namespace dmx::runtime

@@ -12,21 +12,26 @@
  * fetch, not a doorbell), and the host hears back once, when the last
  * descriptor settles.
  *
- * Reliability contract (deliberately identical to the per-command
- * engine, observed at chain granularity):
- *  - fault and integrity hooks are consulted per hop, exactly as for
- *    individually enqueued commands;
- *  - ONE watchdog covers the whole chain (ops x per-command timeout),
- *    and CommandPolicy::deadline clips that budget once for the whole
- *    chain - never per hop;
- *  - each descriptor retries under the platform's backoff policy and
- *    leaves a per-descriptor completion record (status, settle tick,
- *    attempts) so callers can resume from the failed hop;
- *  - with a fault plan installed, a successful chain costs a single
- *    driver notification instead of one per hop.
+ * The descriptors run through the same core as individually enqueued
+ * commands (runtime/core.hh): the same device work with its fault and
+ * integrity hooks, planning, and retry rule (health/breaker feedback,
+ * backoff, deadline, retry veto). Three things differ by submission
+ * kind:
+ *  - watchdog scope: ONE watchdog covers the whole chain (ops x
+ *    per-command timeout), and CommandPolicy::deadline clips that
+ *    budget once for the whole chain - never per hop;
+ *  - who pays dma_setup: Copy legs ring the doorbell until the
+ *    chain's first copy delivers, and every later leg is a descriptor
+ *    fetch, as is a rerouted copy's second leg;
+ *  - completion delivery: one driver notification per chain (with a
+ *    fault plan installed), plus a per-descriptor completion record
+ *    (status, settle tick, attempts) so callers can resume from the
+ *    failed hop.
+ * A chain is admitted as one unit: it bypasses per-command admission,
+ * the breaker's fast-fail and the CPU fallback.
  *
- * Default-off: nothing in the legacy enqueue path changes; a platform
- * that never calls enqueueChain behaves byte-identically to before.
+ * Default-off: a platform that never calls enqueueChain behaves
+ * byte-identically to one without it.
  */
 
 #ifndef DMX_RUNTIME_CHAIN_HH
@@ -91,15 +96,11 @@ struct DescriptorRecord
 namespace detail
 {
 
-struct ChainEngine;
-
-/** Shared completion state of one chain submission. */
-struct ChainState
+/** Shared completion state of one chain submission (retries count
+ *  attempts across all descriptors). */
+struct ChainState : Event::State
 {
-    Status status = Status::Pending;
-    Tick at = 0;
     int failed_index = -1; ///< descriptor that settled the chain non-Ok
-    unsigned retries = 0;  ///< retry attempts across all descriptors
     bool deadline_clipped = false; ///< deadline < chain watchdog budget
     std::vector<DescriptorRecord> records;
 };
@@ -151,7 +152,8 @@ class ChainEvent
     const std::vector<DescriptorRecord> &records() const;
 
   private:
-    friend struct detail::ChainEngine;
+    friend ChainEvent enqueueChain(Context &, const std::vector<ChainOp> &,
+                                   const ChainOptions &);
     std::shared_ptr<detail::ChainState> _state;
 };
 
@@ -171,27 +173,6 @@ class ChainEvent
  */
 ChainEvent enqueueChain(Context &ctx, const std::vector<ChainOp> &ops,
                         const ChainOptions &opts = {});
-
-namespace detail
-{
-
-/**
- * Batch-member variant of enqueueChain: identical execution and
- * reliability semantics (own chain watchdog, per-descriptor retries,
- * admission bypass), except that (a) the first-Copy full-DMA-setup
- * decision reads and writes @p ext_programmed, so a chain inside a
- * batch shares the batch's single doorbell instead of ringing its
- * own, and (b) the chain never pays its own driver notification -
- * @p on_settled fires at device-settle time and the enclosing batch
- * coalesces completion delivery across members.
- */
-ChainEvent enqueueChainHooked(Context &ctx,
-                              const std::vector<ChainOp> &ops,
-                              const ChainOptions &opts,
-                              std::shared_ptr<bool> ext_programmed,
-                              std::function<void(Status)> on_settled);
-
-} // namespace detail
 
 } // namespace dmx::runtime
 

@@ -1,12 +1,10 @@
 #include "runtime/runtime.hh"
 
-#include <map>
 #include <utility>
 
 #include "common/logging.hh"
 #include "integrity/integrity.hh"
-#include "restructure/cpu_exec.hh"
-#include "trace/trace.hh"
+#include "runtime/core.hh"
 
 namespace dmx::runtime
 {
@@ -42,62 +40,10 @@ toString(Status s)
 
 // --------------------------------------------------------------- Event
 
-// Completion chaining lives in a side table keyed by the shared state.
-// To keep Event copyable and cheap, the waiter list is attached to the
-// state object itself.
-struct EventWaiters
-{
-    std::vector<std::function<void()>> fns;
-};
-
-namespace
-{
-
-// One waiter registry per simulation thread: entries are erased when
-// fired, and the keys are unique shared states. Thread-local (not
-// process-global) so exec::ScenarioRunner can run whole platforms in
-// parallel worker threads without sharing waiter state - a simulation
-// registers and fires its waiters on one thread.
-std::map<void *, EventWaiters> &
-waiterMap()
-{
-    thread_local std::map<void *, EventWaiters> m;
-    return m;
-}
-
-void
-fireEvent(const std::shared_ptr<Event::State> &state, Status status,
-          Tick at)
-{
-    state->status = status;
-    state->at = at;
-    auto &m = waiterMap();
-    const auto it = m.find(state.get());
-    if (it == m.end())
-        return;
-    auto fns = std::move(it->second.fns);
-    m.erase(it);
-    for (auto &fn : fns)
-        fn();
-}
-
-void
-whenDone(const std::shared_ptr<Event::State> &state,
-         std::function<void()> fn)
-{
-    if (!state || state->status != Status::Pending) {
-        fn();
-        return;
-    }
-    waiterMap()[state.get()].fns.push_back(std::move(fn));
-}
-
-} // namespace
-
 void
 onSettled(const Event &ev, std::function<void()> fn)
 {
-    whenDone(ev._state, std::move(fn));
+    detail::Core::whenDone(ev._state.get(), std::move(fn));
 }
 
 Tick
@@ -111,452 +57,6 @@ Event::completeTime() const
                   "finish() the queue first");
     return _state->at;
 }
-
-// ------------------------------------------------------ CommandEngine
-
-namespace detail
-{
-
-/**
- * The per-command reliability engine.
- *
- * Every enqueued command is wrapped in a Command record whose attempts
- * run under an optional watchdog and the platform's retry policy. The
- * device-specific part is the `work` closure: it launches one attempt
- * and reports success/failure through its callback - or never reports,
- * for injected stalls and hangs, which the watchdog converts into a
- * timed-out attempt. Commands on an unhealthy device with a `fallback`
- * closure (DRX restructuring) degrade to the host CPU instead of
- * touching the device again.
- *
- * Lifetime: scheduled events hold shared_ptrs to the Command; once the
- * command settles no further events reference it and it frees itself.
- */
-struct CommandEngine
-{
-    /** Reports one attempt's outcome (exactly once, or never). */
-    using AttemptResult = std::function<void(bool ok)>;
-    /** Launches one attempt of the command's device work. */
-    using AttemptFn = std::function<void(AttemptResult)>;
-
-    struct Command : std::enable_shared_from_this<Command>
-    {
-        Context *ctx = nullptr;
-        DeviceId device = 0;
-        std::shared_ptr<Event::State> state;
-        AttemptFn work;
-        AttemptFn fallback; ///< CPU degradation path (may be empty)
-        bool fast_failable = false; ///< may settle Failed up front on an
-                                    ///< unhealthy device (kernels)
-        bool counted = false;       ///< holds a slot in Device::outstanding
-        Tick submitted = 0;         ///< launch tick (sojourn feedback)
-        Tick deadline_at = 0;       ///< absolute settle-by tick (0 = none)
-        /// Batch hook: when set, terminal settles report here instead
-        /// of paying a per-command notification and firing the event -
-        /// the batch engine coalesces delivery across members.
-        std::function<void(Status)> on_device_settled;
-
-        /**
-         * Drop the command's outstanding-depth slot and feed the
-         * admission controller its sojourn sample. Runs exactly once,
-         * from whichever terminal settle path fires first.
-         */
-        void
-        release()
-        {
-            if (!counted)
-                return;
-            counted = false;
-            Platform &p = ctx->platform();
-            Platform::Device &d = p._devices[device];
-            if (d.outstanding > 0)
-                --d.outstanding;
-            if (d.admission)
-                d.admission->recordSojourn(p.now() - submitted, p.now());
-        }
-
-        /** Terminal non-Ok settle shared by every containment path. */
-        void
-        settleErr(Status reason)
-        {
-            Platform &p = ctx->platform();
-            ++p._devices[device].fstats.commands_failed;
-            release();
-            if (on_device_settled) {
-                on_device_settled(reason);
-                return;
-            }
-            fireEvent(state, reason, p.now());
-        }
-
-        /** Run the CPU degradation path instead of the device. */
-        void
-        degradeToCpu()
-        {
-            Platform &p = ctx->platform();
-            Platform::Device &d = p._devices[device];
-            ++d.fstats.fallbacks;
-            state->degraded = true;
-            const Tick begin = p.now();
-            if (auto *tb = trace::active())
-                tb->count("runtime.degraded", begin);
-            auto self = shared_from_this();
-            fallback([self, begin](bool) {
-                if (auto *tb = trace::active()) {
-                    Platform &plat = self->ctx->platform();
-                    tb->span(trace::Category::Degrade, "cpu_fallback",
-                             plat._devices[self->device].name, begin,
-                             plat.now());
-                }
-                self->settleOk();
-            });
-        }
-
-        void
-        beginAttempt(unsigned n)
-        {
-            Platform &p = ctx->platform();
-            Platform::Device &d = p._devices[device];
-
-            // Deadline budget spent before this attempt even starts.
-            if (deadline_at && p.now() >= deadline_at) {
-                ++d.fstats.deadline_exhausted;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.deadline_exhausted", p.now());
-                settleErr(Status::TimedOut);
-                return;
-            }
-
-            // Circuit breaker: a quarantined device fast-fails fresh
-            // work up front - to CPU degradation when a fallback
-            // exists, to Shed otherwise - instead of burning the full
-            // watchdog + retry/backoff budget per command.
-            if (d.breaker && !d.breaker->allow(p.now())) {
-                ++d.fstats.breaker_fast_fails;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.breaker_fast_fails", p.now());
-                if (fallback) {
-                    degradeToCpu();
-                    return;
-                }
-                ++d.fstats.shed;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.shed", p.now());
-                settleErr(Status::Shed);
-                return;
-            }
-
-            if (fallback && !d.breaker && !d.health.healthy()) {
-                // Graceful degradation: the device tripped its
-                // unhealthy threshold, so run the work on the host
-                // CPU at its honestly worse cost. (With a breaker
-                // installed the breaker governs quarantine instead,
-                // so HalfOpen probes can reach the device again.)
-                degradeToCpu();
-                return;
-            }
-
-            // Fast-fail: a *fresh* no-fallback command against a device
-            // already marked unhealthy settles Failed immediately
-            // rather than waiting out a full watchdog timeout against
-            // hardware known to be down. Retries of a command already
-            // in flight (n > 0) still dispatch, preserving the full
-            // attempt accounting of the legacy recovery path.
-            if (n == 0 && fast_failable && !fallback && !d.breaker &&
-                !d.health.healthy()) {
-                ++d.fstats.fast_fails;
-                if (auto *tb = trace::active()) {
-                    tb->instant(trace::Category::Robust, "fast_fail",
-                                d.name, p.now());
-                    tb->count("runtime.fast_fails", p.now());
-                }
-                settleErr(Status::Failed);
-                return;
-            }
-
-            ++d.fstats.attempts;
-            const Tick attempt_begin = p.now();
-            auto self = shared_from_this();
-            auto settled = std::make_shared<bool>(false);
-            sim::EventHandle watchdog;
-            // The watchdog never outlives the deadline budget: clip it
-            // to the remaining budget so the final TimedOut settles at
-            // the deadline, not a full timeout later. The subtraction
-            // saturates: a zero-remaining budget was already settled
-            // TimedOut by the guard above, but a saturating clip keeps
-            // Tick (unsigned) arithmetic underflow-proof even if the
-            // two sites ever disagree about "spent".
-            Tick timeout = p._policy.timeout;
-            if (deadline_at) {
-                const Tick remaining =
-                    deadline_at > p.now() ? deadline_at - p.now() : 0;
-                if (timeout == 0 || remaining < timeout)
-                    timeout = remaining;
-            }
-            if (timeout > 0) {
-                watchdog = p._eq.scheduleIn(
-                    timeout, [self, settled, n, attempt_begin] {
-                        if (*settled)
-                            return;
-                        *settled = true;
-                        Platform &plat = self->ctx->platform();
-                        ++plat._devices[self->device].fstats.timeouts;
-                        if (auto *tb = trace::active()) {
-                            tb->span(n == 0 ? trace::Category::Command
-                                            : trace::Category::Retry,
-                                     "attempt_timeout",
-                                     plat._devices[self->device].name,
-                                     attempt_begin, plat.now(), n);
-                            tb->count("runtime.timeouts", plat.now());
-                        }
-                        self->fail(n, Status::TimedOut);
-                    });
-            }
-            work([self, settled, watchdog, n,
-                  attempt_begin](bool ok) mutable {
-                // A late device completion after the watchdog already
-                // failed the attempt is dropped here.
-                if (*settled)
-                    return;
-                *settled = true;
-                watchdog.cancel();
-                if (auto *tb = trace::active()) {
-                    Platform &plat = self->ctx->platform();
-                    tb->span(n == 0 ? trace::Category::Command
-                                    : trace::Category::Retry,
-                             "attempt",
-                             plat._devices[self->device].name,
-                             attempt_begin, plat.now(), n);
-                }
-                if (ok)
-                    self->succeed();
-                else
-                    self->fail(n, Status::Failed);
-            });
-        }
-
-        void
-        succeed()
-        {
-            Platform &p = ctx->platform();
-            Platform::Device &d = p._devices[device];
-            d.health.recordSuccess();
-            if (d.breaker)
-                d.breaker->recordSuccess(p.now());
-            settleOk();
-        }
-
-        void
-        settleOk()
-        {
-            Platform &p = ctx->platform();
-            release();
-            if (on_device_settled) {
-                on_device_settled(Status::Ok);
-                return;
-            }
-            if (p._plan) {
-                // Completion reaches the host through the driver
-                // notification path (possibly a recovery poll when the
-                // irq was dropped). Fault-free runs keep the seed's
-                // immediate host visibility.
-                const auto notif = p._irq->notifyChecked();
-                const Tick at = p.now() + notif.latency;
-                auto st = state;
-                p._eq.schedule(
-                    at, [st, at] { fireEvent(st, Status::Ok, at); });
-                return;
-            }
-            fireEvent(state, Status::Ok, p.now());
-        }
-
-        void
-        fail(unsigned n, Status reason)
-        {
-            Platform &p = ctx->platform();
-            Platform::Device &d = p._devices[device];
-            d.health.recordFailure();
-            if (d.breaker)
-                d.breaker->recordFailure(p.now());
-            ++d.fstats.failures;
-            if (n >= p._policy.max_retries) {
-                settleErr(reason);
-                return;
-            }
-            const Tick delay = backoffDelay(p, n);
-            // Deadline-budgeted retries: when the backoff wait would
-            // land at or past the deadline, stop retrying and settle
-            // TimedOut now - the budget cannot buy another attempt.
-            if (deadline_at && p.now() + delay >= deadline_at) {
-                ++d.fstats.deadline_exhausted;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.deadline_exhausted", p.now());
-                settleErr(Status::TimedOut);
-                return;
-            }
-            // External retry veto (serving-layer retry budgets): the
-            // policy can only remove attempts, never add them, so the
-            // legacy path with no policy installed is byte-identical.
-            if (p._retry_policy &&
-                !p._retry_policy(*ctx, device, n + 1)) {
-                ++d.fstats.retries_denied;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.retries_denied", p.now());
-                settleErr(reason);
-                return;
-            }
-            state->retries = n + 1;
-            ++d.fstats.retries;
-            if (auto *tb = trace::active()) {
-                tb->count("runtime.retries", p.now());
-                tb->span(trace::Category::Retry, "backoff", d.name,
-                         p.now(), p.now() + delay, n);
-            }
-            auto self = shared_from_this();
-            p._eq.scheduleIn(delay, [self, n] {
-                self->beginAttempt(n + 1);
-            });
-        }
-    };
-
-    /** @return backoff before the retry of failed attempt @p n. */
-    static Tick
-    backoffDelay(Platform &p, unsigned n)
-    {
-        const CommandPolicy &pol = p._policy;
-        double delay = static_cast<double>(pol.backoff_base);
-        for (unsigned i = 0; i < n; ++i)
-            delay *= pol.backoff_mult;
-        delay *= 1.0 + pol.jitter_frac * p._jitter.uniform();
-        return static_cast<Tick>(delay);
-    }
-
-    /**
-     * Chain a command onto @p q: it starts when the queue's previous
-     * command settles Ok, and settles Failed without touching the
-     * device when the predecessor did not (error cascade - the
-     * in-order contract means its input was never produced).
-     */
-    static Event
-    launch(CommandQueue &q, AttemptFn work, AttemptFn fallback,
-           bool fast_failable)
-    {
-        Event ev;
-        ev._state = std::make_shared<Event::State>();
-        Platform &plat = q._ctx->platform();
-        Platform::Device &dev = plat._devices[q._device];
-
-        // Admission control: shed up front, before the command joins
-        // the in-order chain, so a shed neither occupies the device
-        // nor cascades an error into its successors.
-        if (dev.admission &&
-            !dev.admission->admit(plat.now(), dev.outstanding,
-                                  q._ctx->priority())) {
-            ++dev.fstats.shed;
-            ++dev.fstats.commands_failed;
-            if (auto *tb = trace::active())
-                tb->count("runtime.shed", plat.now());
-            fireEvent(ev._state, Status::Shed, plat.now());
-            return ev;
-        }
-
-        auto cmd = std::make_shared<Command>();
-        cmd->ctx = q._ctx;
-        cmd->device = q._device;
-        cmd->state = ev._state;
-        cmd->work = std::move(work);
-        cmd->fallback = std::move(fallback);
-        cmd->fast_failable = fast_failable;
-        cmd->submitted = plat.now();
-        cmd->counted = true;
-        ++dev.outstanding;
-        if (plat._policy.deadline)
-            cmd->deadline_at = plat.now() + plat._policy.deadline;
-
-        if (auto *tb = trace::active()) {
-            tb->instant(trace::Category::Command, "submit", dev.name,
-                        plat.now());
-        }
-        auto prev = q._last._state;
-        whenDone(prev, [cmd, prev] {
-            Platform &p = cmd->ctx->platform();
-            if (prev && prev->status != Status::Ok) {
-                Platform::Device &d = p._devices[cmd->device];
-                ++d.fstats.cascaded;
-                if (auto *tb = trace::active())
-                    tb->count("runtime.cascaded", p.now());
-                cmd->settleErr(Status::Failed);
-                return;
-            }
-            p._eq.scheduleIn(0, [cmd] { cmd->beginAttempt(0); });
-        });
-        q._last = ev;
-        return ev;
-    }
-};
-
-void
-fireEventState(const std::shared_ptr<Event::State> &state, Status status,
-               Tick at)
-{
-    fireEvent(state, status, at);
-}
-
-void
-whenEventDone(const std::shared_ptr<Event::State> &state,
-              std::function<void()> fn)
-{
-    whenDone(state, std::move(fn));
-}
-
-void
-launchBatchMember(Context &ctx, DeviceId device, AttemptFn work,
-                  AttemptFn fallback, bool fast_failable,
-                  std::shared_ptr<Event::State> state,
-                  std::function<void(Status)> on_settled)
-{
-    Platform &plat = ctx.platform();
-    Platform::Device &dev = plat._devices[device];
-
-    // Admission control applies per member, exactly as for an
-    // individually enqueued command: a shed member terminates up
-    // front and never occupies the device, and - unlike the in-order
-    // queue path - cannot cascade into its batch siblings.
-    if (dev.admission &&
-        !dev.admission->admit(plat.now(), dev.outstanding,
-                              ctx.priority())) {
-        ++dev.fstats.shed;
-        ++dev.fstats.commands_failed;
-        if (auto *tb = trace::active())
-            tb->count("runtime.shed", plat.now());
-        on_settled(Status::Shed);
-        return;
-    }
-
-    auto cmd = std::make_shared<CommandEngine::Command>();
-    cmd->ctx = &ctx;
-    cmd->device = device;
-    cmd->state = std::move(state);
-    cmd->work = std::move(work);
-    cmd->fallback = std::move(fallback);
-    cmd->fast_failable = fast_failable;
-    cmd->submitted = plat.now();
-    cmd->counted = true;
-    cmd->on_device_settled = std::move(on_settled);
-    ++dev.outstanding;
-    if (plat._policy.deadline)
-        cmd->deadline_at = plat.now() + plat._policy.deadline;
-
-    if (auto *tb = trace::active()) {
-        tb->instant(trace::Category::Command, "submit", dev.name,
-                    plat.now());
-    }
-    plat._eq.scheduleIn(0, [cmd] { cmd->beginAttempt(0); });
-}
-
-} // namespace detail
-
-using detail::CommandEngine;
 
 // ------------------------------------------------------------ Platform
 
@@ -868,187 +368,43 @@ Context::finish()
 // -------------------------------------------------------- CommandQueue
 
 Event
+CommandQueue::enqueue(ChainOp op)
+{
+    using detail::Core;
+    Platform &p = _ctx->platform();
+    if (const char *why = Core::invalid(p, op))
+        dmx_fatal("enqueue on '%s': the command %s",
+                  p.deviceName(_device).c_str(), why);
+    Core::Plans plans = Core::plan(p, op, false);
+    Event ev;
+    ev._state = std::make_shared<Event::State>();
+    // Every enqueued copy leg rings its own doorbell (no shared flag),
+    // and each command pays its own completion notification.
+    if (Core::launchCommand(*_ctx, std::move(op), std::move(plans), {},
+                            ev._state, Core::toHost(p, ev._state),
+                            _last._state.get()))
+        _last = ev;
+    return ev;
+}
+
+Event
 CommandQueue::enqueueKernel(BufferId in, BufferId out)
 {
-    Platform &plat = _ctx->platform();
-    Platform::Device &dev = plat._devices[_device];
-    if (dev.is_drx)
-        dmx_fatal("enqueueKernel on DRX device '%s'; use "
-                  "enqueueRestructure", dev.name.c_str());
-
-    Context *ctx = _ctx;
-    const DeviceId device = _device;
-    auto work = [ctx, device, in, out](
-                    CommandEngine::AttemptResult done) {
-        Platform &p = ctx->platform();
-        Platform::Device &d = p._devices[device];
-        kernels::OpCount ops;
-        Bytes result = d.fn(ctx->read(in), ops);
-        const Cycles cycles = accel::kernelCycles(d.spec, ops);
-        d.unit->submitChecked(
-            cycles, [ctx, out, done,
-                     result = std::move(result)](bool ok) mutable {
-                if (ok)
-                    ctx->write(out, std::move(result));
-                done(ok);
-            });
-    };
-    return CommandEngine::launch(*this, std::move(work), nullptr,
-                                 /*fast_failable=*/true);
+    return enqueue({ChainOp::Kind::Kernel, _device, 0, in, out, {}});
 }
 
 Event
 CommandQueue::enqueueRestructure(const restructure::Kernel &kernel,
                                  BufferId in, BufferId out)
 {
-    Platform &plat = _ctx->platform();
-    Platform::Device &dev = plat._devices[_device];
-    if (!dev.is_drx)
-        dmx_fatal("enqueueRestructure on accelerator '%s'",
-                  dev.name.c_str());
-
-    Context *ctx = _ctx;
-    const DeviceId device = _device;
-    // Copy the kernel: the caller's object may go out of scope before
-    // the command reaches the head of the queue.
-    auto kcopy = std::make_shared<restructure::Kernel>(kernel);
-
-    // Plan once, at enqueue time, through the platform's compiled-
-    // kernel cache. Every attempt of this command -- and every later
-    // command with the same kernel structure -- reuses the plan;
-    // previously each retry recompiled the kernel from scratch.
-    std::shared_ptr<const drx::CompiledKernel> plan;
-    if (plat.platformConfig().drx_cache.enabled) {
-        plan = plat.drxCache()
-                   .lookup(kernel, dev.machine->config(), plat.now())
-                   .compiled;
-    } else {
-        plan = std::make_shared<const drx::CompiledKernel>(
-            drx::planKernel(kernel, dev.machine->config()));
-    }
-
-    auto work = [ctx, device, in, out, kcopy, plan](
-                    CommandEngine::AttemptResult done) {
-        Platform &p = ctx->platform();
-        Platform::Device &d = p._devices[device];
-        d.machine->resetAlloc();
-        const std::shared_ptr<const drx::CompiledKernel> installed =
-            drx::installPlan(plan, *d.machine);
-        auto result = std::make_shared<restructure::Bytes>();
-        const drx::RunResult res = drx::runPlanOnDrx(
-            kcopy->name, *installed, ctx->read(in), *d.machine,
-            result.get(), p.now());
-        if (res.faulted) {
-            // The machine trapped: charge the trap handling on the
-            // unit, then report the device error at that time.
-            d.unit->submitChecked(res.total_cycles,
-                                  [done](bool) { done(false); });
-            return;
-        }
-        d.unit->submitChecked(
-            res.total_cycles, [ctx, out, done, result](bool ok) {
-                if (ok)
-                    ctx->write(out, std::move(*result));
-                done(ok);
-            });
-    };
-    // Degradation path: byte-identical restructuring on the host core
-    // pool, costed like the paper's CPU baseline (thrash factor, spawn
-    // overhead, bounded job parallelism).
-    auto fallback = [ctx, in, out, kcopy](
-                        CommandEngine::AttemptResult done) {
-        Platform &p = ctx->platform();
-        kernels::OpCount ops;
-        Bytes result =
-            restructure::executeOnCpu(*kcopy, ctx->read(in), &ops);
-        const double core_seconds =
-            cpu::restructureCoreSeconds(ops, p._host_params);
-        p._host->submit(
-            core_seconds, p._host_params.max_job_cores,
-            [ctx, out, done, result = std::move(result)]() mutable {
-                ctx->write(out, std::move(result));
-                done(true);
-            });
-    };
-    return CommandEngine::launch(*this, std::move(work),
-                                 std::move(fallback),
-                                 /*fast_failable=*/false);
+    return enqueue(
+        {ChainOp::Kind::Restructure, _device, 0, in, out, {kernel}});
 }
 
 Event
-CommandQueue::enqueueCopy(BufferId src, BufferId dst,
-                          DeviceId dst_device)
+CommandQueue::enqueueCopy(BufferId src, BufferId dst, DeviceId dst_device)
 {
-    Platform &plat = _ctx->platform();
-    if (dst_device >= plat._devices.size())
-        dmx_fatal("enqueueCopy: bad destination device %zu", dst_device);
-
-    Context *ctx = _ctx;
-    const DeviceId from = _device;
-    auto work = [ctx, from, src, dst, dst_device](
-                    CommandEngine::AttemptResult done) {
-        Platform &p = ctx->platform();
-        const auto bytes =
-            static_cast<std::uint64_t>(ctx->read(src).size());
-        const pcie::NodeId sn = p._devices[from].node;
-        const pcie::NodeId dn = p._devices[dst_device].node;
-        auto deliver = [ctx, src, dst, done](bool ok) {
-            if (ok) {
-                ctx->write(dst, ctx->read(src));
-                Platform &plat = ctx->platform();
-                if (plat._integrity) {
-                    // Silent payload corruption: the DMA completed and
-                    // reports success, but the delivered copy differs
-                    // from the source by one flipped bit. Only an
-                    // end-to-end check can catch this - the flip is
-                    // deliberately invisible to the command status.
-                    const Bytes &got = ctx->read(dst);
-                    const auto act = plat._integrity->onPayload(
-                        static_cast<std::uint64_t>(got.size()));
-                    if (act.flip) {
-                        Bytes data = got;
-                        data[act.bit / 8] ^= static_cast<std::uint8_t>(
-                            1u << (act.bit % 8));
-                        ctx->write(dst, std::move(data));
-                        if (auto *tb = trace::active()) {
-                            tb->instant(trace::Category::Integrity,
-                                        "payload_flip", "dma",
-                                        plat.now(), act.bit);
-                            tb->count("integrity.payload_flips",
-                                      plat.now());
-                        }
-                    }
-                }
-            }
-            done(ok);
-        };
-        if (p._plan && p._plan->p2pFaulted()) {
-            // The switch's p2p forwarding path is down: stage through
-            // the root complex as two serial DMAs - honestly slower
-            // (twice the traffic and setup, plus the constrained
-            // uplink) but it keeps the pipeline flowing.
-            ++p._devices[from].fstats.rerouted_copies;
-            if (auto *tb = trace::active())
-                tb->count("runtime.rerouted_copies", p.now());
-            const pcie::NodeId rc = p._rc;
-            p._fabric->startFlowChecked(
-                sn, rc, bytes,
-                [ctx, rc, dn, bytes, deliver](bool ok) {
-                    if (!ok) {
-                        deliver(false);
-                        return;
-                    }
-                    ctx->platform()._fabric->startFlowChecked(
-                        rc, dn, bytes, deliver);
-                });
-            return;
-        }
-        p._fabric->startFlowChecked(sn, dn, bytes, deliver);
-    };
-    // Copies are not fast-failable: device health tracks the command
-    // engine, while DMA rides the fabric, which may be fine.
-    return CommandEngine::launch(*this, std::move(work), nullptr,
-                                 /*fast_failable=*/false);
+    return enqueue({ChainOp::Kind::Copy, _device, dst_device, src, dst, {}});
 }
 
 void

@@ -20,6 +20,14 @@
  *   Event e = q.enqueueKernel(in, out);          // non-blocking
  *   ctx.finish();                                // drain all queues
  *
+ * Every submission - the enqueue* calls here, enqueueChain
+ * (runtime/chain.hh) and submitBatch (runtime/batch.hh) - runs
+ * descriptors through one internal core (runtime/core.hh) that holds
+ * the device work, planning, admission and retry rule. An enqueued
+ * command is one descriptor under its own per-attempt watchdog; every
+ * copy leg rings a doorbell (pays dma_setup), and each command's
+ * completion is its own notification.
+ *
  * Reliability model: with a fault::FaultPlan installed
  * (Platform::setFaultPlan), every command runs under a simulated-time
  * watchdog and a retry policy (exponential backoff with jitter, bounded
@@ -124,10 +132,10 @@ struct CommandPolicy
 
 namespace detail
 {
-struct CommandEngine;
-struct ChainEngine;
-struct BatchEngine;
+struct Core;
 }
+
+struct ChainOp;
 
 /** Completion state shared with the host program. */
 class Event
@@ -175,13 +183,15 @@ class Event
         Tick at = 0;
         unsigned retries = 0;
         bool degraded = false;
+        /// onSettled callbacks, dropped once they ran; a waiter that
+        /// holds its own Event keeps the state alive until it settles.
+        std::vector<std::function<void()>> waiters;
     };
 
   private:
     friend class CommandQueue;
-    friend class Context;
-    friend struct detail::CommandEngine;
-    friend struct detail::BatchEngine;
+    friend class BatchEvent;
+    friend struct detail::Core;
     friend void onSettled(const Event &, std::function<void()>);
     std::shared_ptr<State> _state;
 };
@@ -196,39 +206,6 @@ void onSettled(const Event &ev, std::function<void()> fn);
 
 class Context;
 class Platform;
-
-namespace detail
-{
-
-/** Reports one attempt's outcome (exactly once, or never). */
-using AttemptResult = std::function<void(bool ok)>;
-/** Launches one attempt of a command's device work. */
-using AttemptFn = std::function<void(AttemptResult)>;
-
-/** Settle @p state (firing its onSettled waiters) - batch.cc bridge. */
-void fireEventState(const std::shared_ptr<Event::State> &state,
-                    Status status, Tick at);
-
-/** Run @p fn when @p state settles (immediately if it already did). */
-void whenEventDone(const std::shared_ptr<Event::State> &state,
-                   std::function<void()> fn);
-
-/**
- * Launch one batch member through the per-command reliability engine
- * (admission shed, watchdog clipped to the deadline, retry backoff,
- * breaker/health feedback, CPU fallback) with the settle outcome
- * reported to @p on_settled instead of the notify + event-fire path:
- * the batch engine owns completion delivery, so member reliability is
- * byte-identical to an individually enqueued command while the
- * notification cost is paid once per coalescing window. Members do not
- * join the per-device in-order queue; a batch owns its own ordering.
- */
-void launchBatchMember(Context &ctx, DeviceId device, AttemptFn work,
-                       AttemptFn fallback, bool fast_failable,
-                       std::shared_ptr<Event::State> state,
-                       std::function<void(Status)> on_settled);
-
-} // namespace detail
 
 /** An in-order command queue bound to one device. */
 class CommandQueue
@@ -260,11 +237,13 @@ class CommandQueue
 
   private:
     friend class Context;
-    friend struct detail::CommandEngine;
     CommandQueue(Context &ctx, DeviceId dev)
         : _ctx(&ctx), _device(dev)
     {
     }
+
+    /** Validate, plan and launch @p op behind the queue's tail. */
+    Event enqueue(ChainOp op);
 
     Context *_ctx;
     DeviceId _device;
@@ -321,7 +300,6 @@ class Context
   private:
     friend class Platform;
     friend class CommandQueue;
-    friend struct detail::CommandEngine;
     explicit Context(Platform &p);
 
     Platform *_platform;
@@ -547,13 +525,7 @@ class Platform
 
   private:
     friend class Context;
-    friend class CommandQueue;
-    friend struct detail::CommandEngine;
-    friend struct detail::ChainEngine;
-    friend struct detail::BatchEngine;
-    friend void detail::launchBatchMember(
-        Context &, DeviceId, detail::AttemptFn, detail::AttemptFn, bool,
-        std::shared_ptr<Event::State>, std::function<void(Status)>);
+    friend struct detail::Core;
 
     struct Device
     {

@@ -94,6 +94,52 @@ TEST(ThreadPool, UnevenTasksAllComplete)
     EXPECT_EQ(done.load(), 64);
 }
 
+TEST(ThreadPool, SubmitThenWaitNeverLosesAWakeup)
+{
+    // ScenarioRunner's ordered commit: submit one task, wait until it
+    // ran, repeat. The caller spins, so its next submit lands while
+    // the worker is on its way back to sleep; a submit between the
+    // worker's predicate check and its wait must still wake it, or the
+    // caller waits forever. The rounds run on a helper thread; no
+    // progress for 10 s is a lost wakeup, so the test fails - and
+    // re-notifies the worker to unwedge the helper - instead of
+    // hanging ctest.
+    exec::ThreadPool pool(1);
+    std::atomic<int> rounds{0};
+    std::atomic<bool> stop{false};
+    std::atomic<bool> finished{false};
+    std::thread caller([&] {
+        for (int r = 0; r < 200000 && !stop.load(); ++r) {
+            std::atomic<bool> ran{false};
+            pool.submit([&ran] { ran.store(true); });
+            while (!ran.load()) {
+            }
+            rounds.store(r + 1, std::memory_order_relaxed);
+        }
+        finished.store(true);
+    });
+    bool hung = false;
+    int seen = 0;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!finished.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        const auto now = std::chrono::steady_clock::now();
+        if (rounds.load() != seen) {
+            seen = rounds.load();
+            last_progress = now;
+        } else if (now - last_progress > std::chrono::seconds(10)) {
+            hung = true;
+            stop.store(true);
+            pool.submit([] {}); // a fresh notify wakes the lost worker
+            last_progress = now;
+        }
+    }
+    caller.join();
+    EXPECT_FALSE(hung) << "a submitted task sat queued with its only "
+                          "worker asleep (lost wakeup) after "
+                       << seen << " rounds";
+}
+
 // ------------------------------------------------------------------
 // Jobs resolution
 

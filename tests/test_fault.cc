@@ -307,6 +307,32 @@ TEST(FaultRuntime, HungKernelCaughtByWatchdog)
     EXPECT_GT(ev.completeTime(), plat.commandPolicy().timeout);
 }
 
+TEST(FaultRuntime, TimedOutAttemptDropsItsLateCompletion)
+{
+    // The watchdog fires long before the kernel finishes. Its late
+    // completion is dropped before it touches a buffer, exactly as a
+    // chain drops completions after its watchdog: a command that
+    // settled TimedOut never has its output written afterwards.
+    Platform plat;
+    const DeviceId dev =
+        plat.addAccelerator("a0", accel::Domain::FFT, doubler);
+    CommandPolicy pol;
+    pol.timeout = 10;
+    pol.max_retries = 0;
+    plat.setCommandPolicy(pol);
+
+    Context ctx = plat.createContext();
+    const BufferId in = ctx.createBuffer(Bytes(4096, 1));
+    const BufferId out = ctx.createBuffer();
+    Event ev = ctx.queue(dev).enqueueKernel(in, out);
+    ctx.finish();
+
+    EXPECT_EQ(ev.status(), Status::TimedOut);
+    EXPECT_EQ(ev.completeTime(), 10u);
+    EXPECT_GT(plat.now(), ev.completeTime()); // the device did finish
+    EXPECT_TRUE(ctx.read(out).empty());
+}
+
 TEST(FaultRuntime, RetryBudgetExhaustionSettlesFailed)
 {
     Platform plat;

@@ -21,6 +21,8 @@
 
 #include "exec/scenario.hh"
 #include "fault/fault.hh"
+#include "runtime/batch.hh"
+#include "runtime/chain.hh"
 #include "runtime/runtime.hh"
 #include "serve/brownout.hh"
 #include "serve/budget.hh"
@@ -434,6 +436,78 @@ TEST(ServeRuntimeHook, DenyingPolicyFailsFastAndCounts)
     EXPECT_EQ(plat.faultStats(id).retries_denied, 1u);
     EXPECT_EQ(plat.faultStats(id).attempts, 1u);
     EXPECT_EQ(plat.faultStats(id).retries, 0u);
+}
+
+// The veto covers every retry the runtime schedules, including a
+// chain descriptor's, standalone or as a batch member: one failing
+// Kernel descriptor under a deny-all policy makes one attempt, exactly
+// like the enqueueKernel command above.
+namespace
+{
+
+void
+expectChainRetryDenied(bool in_batch)
+{
+    runtime::Platform plat;
+    const auto id = plat.addAccelerator("a0", accel::Domain::Crypto, bump);
+    fault::FaultSpec spec;
+    spec.seed = 7;
+    spec.kernel_fail_prob = 1.0;
+    spec.unhealthy_threshold = 1'000'000; // no health fast-fail
+    fault::FaultPlan plan(spec);
+    plat.setFaultPlan(&plan);
+
+    unsigned asked = 0;
+    std::uint64_t seen_tag = 0;
+    plat.setRetryPolicy([&](runtime::Context &ctx, runtime::DeviceId,
+                            unsigned next_attempt) {
+        ++asked;
+        seen_tag = ctx.tag();
+        EXPECT_EQ(next_attempt, 1u);
+        return false;
+    });
+
+    runtime::Context ctx = plat.createContext();
+    ctx.setTag(42);
+    runtime::ChainOp op;
+    op.kind = runtime::ChainOp::Kind::Kernel;
+    op.device = id;
+    op.in = ctx.createBuffer(runtime::Bytes(64, 1));
+    op.out = ctx.createBuffer();
+    if (in_batch) {
+        runtime::BatchOp member;
+        member.kind = runtime::BatchOp::Kind::Chain;
+        member.chain = {op};
+        const runtime::BatchEvent bev = runtime::submitBatch(ctx, {member});
+        ctx.finish();
+        EXPECT_EQ(bev.status(), runtime::Status::Failed);
+        EXPECT_EQ(bev.records()[0].retries, 0u);
+        EXPECT_EQ(bev.records()[0].chain_failed_index, 0);
+    } else {
+        const runtime::ChainEvent ev = runtime::enqueueChain(ctx, {op});
+        ctx.finish();
+        EXPECT_EQ(ev.status(), runtime::Status::Failed);
+        EXPECT_EQ(ev.retries(), 0u);
+        EXPECT_EQ(ev.failedIndex(), 0);
+        EXPECT_EQ(ev.records()[0].attempts, 1u);
+    }
+    EXPECT_EQ(asked, 1u);
+    EXPECT_EQ(seen_tag, 42u);
+    EXPECT_EQ(plat.faultStats(id).retries_denied, 1u);
+    EXPECT_EQ(plat.faultStats(id).attempts, 1u);
+    EXPECT_EQ(plat.faultStats(id).retries, 0u);
+}
+
+} // namespace
+
+TEST(ServeRuntimeHook, DenyingPolicyFailsChainDescriptorsFast)
+{
+    expectChainRetryDenied(false);
+}
+
+TEST(ServeRuntimeHook, DenyingPolicyFailsBatchChainMembersFast)
+{
+    expectChainRetryDenied(true);
 }
 
 TEST(ServeRuntimeHook, GrantingPolicyIsLegacyExact)
