@@ -39,13 +39,10 @@ namespace dmx::bench
  * every sweep can fan across threads. Results are committed in
  * submission order, so output is byte-identical at every jobs level.
  *
- * `--repeat N` re-runs every runSweep() pass N times (results of the
- * extra passes are discarded): simulated metrics and stdout stay
- * byte-identical while repeat workloads exercise the DRX compiled-
- * kernel cache. write() appends host wall-clock ("wall_" prefix) and
- * cache hit-rate ("cache_" prefix) metrics to the JSON; both prefixes
- * are informational to tools/bench_diff (reported, never gated -- wall
- * time is nondeterministic and cache totals legitimately change with
+ * write() appends host wall-clock ("wall_" prefix) and DRX compiled-
+ * kernel cache ("cache_" prefix) metrics to the JSON; both prefixes are
+ * informational to tools/bench_diff (reported, never gated -- wall time
+ * is nondeterministic and cache totals legitimately change with
  * configuration).
  */
 class BenchReport
@@ -64,14 +61,6 @@ class BenchReport
                     std::exit(2);
                 }
                 _path = argv[++i];
-            } else if (std::strcmp(argv[i], "--repeat") == 0) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "%s: --repeat needs a count\n",
-                                 argv[0]);
-                    std::exit(2);
-                }
-                const long n = std::strtol(argv[++i], nullptr, 10);
-                _repeat = n > 1 ? static_cast<unsigned>(n) : 1u;
             }
         }
     }
@@ -105,7 +94,7 @@ class BenchReport
                          _names[i].c_str(), _values[i]);
         }
         // Informational host-side metrics (JSON only; stdout must stay
-        // byte-identical across jobs levels and cache on/off).
+        // byte-identical across jobs levels).
         const char *sep = _names.empty() ? "" : ",";
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
@@ -114,7 +103,6 @@ class BenchReport
         const drx::CacheCounters cc =
             drx::ProgramCache::globalCounters();
         std::fprintf(f, "%s\"wall_ms_total\":%.17g", sep, wall_ms);
-        std::fprintf(f, ",\"wall_repeat\":%u", _repeat);
         std::fprintf(f, ",\"cache_drx_hits\":%llu",
                      static_cast<unsigned long long>(cc.compile_hits));
         std::fprintf(f, ",\"cache_drx_misses\":%llu",
@@ -132,14 +120,10 @@ class BenchReport
     /** Worker count resolved from --jobs / DMX_JOBS / the hardware. */
     unsigned jobs() const { return _jobs; }
 
-    /** Sweep repetition count from --repeat (default 1). */
-    unsigned repeat() const { return _repeat; }
-
   private:
     std::string _figure;
     std::string _path;
     unsigned _jobs = 1;
-    unsigned _repeat = 1;
     std::chrono::steady_clock::time_point _start;
     std::vector<std::string> _names;
     std::vector<double> _values;
@@ -156,16 +140,6 @@ template <typename T>
 inline std::vector<T>
 runSweep(const BenchReport &report, std::vector<std::function<T()>> thunks)
 {
-    // --repeat N: passes 1..N-1 run copies of the thunks and discard
-    // their results. Thunks are self-contained and deterministic (the
-    // parallel-sweep contract), so the extra passes cannot change the
-    // reported pass; they exist to measure repeat-workload wall-clock
-    // (compiled-kernel cache warm vs cold).
-    for (unsigned r = 1; r < report.repeat(); ++r) {
-        exec::ScenarioRunner warm(report.jobs());
-        std::vector<std::function<T()>> copy = thunks;
-        warm.run<T>(std::move(copy));
-    }
     exec::ScenarioRunner runner(report.jobs());
     return runner.run<T>(std::move(thunks));
 }

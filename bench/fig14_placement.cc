@@ -14,6 +14,8 @@
 #include <cstring>
 
 #include "bench/bench_util.hh"
+#include "common/logging.hh"
+#include "common/strutil.hh"
 
 using namespace dmx;
 using namespace dmx::sys;
@@ -24,9 +26,10 @@ main(int argc, char **argv)
     bench::BenchReport report(argc, argv, "fig14_placement");
     unsigned batch = 1;
     for (int i = 1; i < argc - 1; ++i)
-        if (std::strcmp(argv[i], "--batch") == 0)
-            batch = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
+        if (std::strcmp(argv[i], "--batch") == 0 &&
+            !parseDecimal(argv[i + 1], batch))
+            dmx_fatal("--batch '%s': expected a non-negative decimal "
+                      "integer in range", argv[i + 1]);
     bench::banner("Figure 14 - DRX placement comparison",
                   "Sec. VII-B, Fig. 14");
     if (batch != 1)

@@ -98,9 +98,9 @@ makeMotion(const std::string &name, const Kernel &reduced, double factor,
     restructure::executeOnCpu(reduced, input, &ops);
     ops = scaleOps(ops, factor);
 
-    // Cached: suite construction re-times the same reduced kernels on
-    // every call (closed-loop sims, bench repeats), and the timing-only
-    // run here is exactly what the tier-2 memo replays.
+    // Cached: every suite build after the first in a thread re-times
+    // the same reduced kernels, and the timing-only run here is
+    // exactly what the tier-2 memo replays.
     drx::DrxMachine machine(p.drx);
     const drx::RunResult drx_res =
         drx::runKernelOnDrxCached(reduced, input, machine);

@@ -6,7 +6,10 @@
 #ifndef DMX_COMMON_STRUTIL_HH
 #define DMX_COMMON_STRUTIL_HH
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dmx
@@ -30,6 +33,33 @@ std::string formatBytes(std::uint64_t bytes);
 
 /** Render a ratio as e.g. "3.42x". */
 std::string formatRatio(double r);
+
+/**
+ * Strictly parse a command-line count: @p s must be one or more ASCII
+ * digits and nothing else (no sign, whitespace, base prefix or suffix),
+ * and the value must fit @p T. Leaves @p out untouched on failure.
+ * @return whether @p s was well formed and in range
+ */
+template <typename T>
+bool
+parseDecimal(const char *s, T &out)
+{
+    static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>,
+                  "parseDecimal parses into an unsigned integer type");
+    if (s == nullptr || *s == '\0')
+        return false;
+    T v = 0;
+    for (; *s != '\0'; ++s) {
+        if (*s < '0' || *s > '9')
+            return false;
+        const T digit = static_cast<T>(*s - '0');
+        if (v > (std::numeric_limits<T>::max() - digit) / 10)
+            return false;
+        v = static_cast<T>(v * 10 + digit);
+    }
+    out = v;
+    return true;
+}
 
 } // namespace dmx
 

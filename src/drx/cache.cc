@@ -1,11 +1,9 @@
 #include "drx/cache.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
-#include "trace/trace.hh"
 
 namespace dmx::drx
 {
@@ -212,20 +210,6 @@ drxConfigEqual(const DrxConfig &a, const DrxConfig &b)
            a.min_burst_bytes == b.min_burst_bytes;
 }
 
-DrxCacheConfig
-defaultCacheConfig()
-{
-    // The environment is read once per process: flipping the variable
-    // mid-run cannot produce a half-cached execution.
-    static const bool disabled = [] {
-        const char *env = std::getenv("DMX_NO_DRX_CACHE");
-        return env != nullptr && env[0] != '\0';
-    }();
-    DrxCacheConfig cfg;
-    cfg.enabled = !disabled;
-    return cfg;
-}
-
 // ---------------------------------------------------------- ProgramCache
 
 ProgramCache::ProgramCache(DrxCacheConfig cfg)
@@ -245,20 +229,11 @@ void
 ProgramCache::setConfig(const DrxCacheConfig &cfg)
 {
     _cfg = cfg;
-    evictIfNeeded(0);
+    evictIfNeeded();
 }
 
 void
-ProgramCache::traceEvent(const char *what, Tick tick) const
-{
-    if (!_cfg.trace_events)
-        return;
-    if (auto *tb = trace::active())
-        tb->instant(trace::Category::DrxCache, what, "drxcache", tick);
-}
-
-void
-ProgramCache::evictIfNeeded(Tick tick)
+ProgramCache::evictIfNeeded()
 {
     while (_entries.size() > _cfg.capacity) {
         auto victim = _entries.begin();
@@ -270,13 +245,12 @@ ProgramCache::evictIfNeeded(Tick tick)
         ++_counters.evictions;
         ++_stat_evictions;
         bump(g_evictions);
-        traceEvent("evict", tick);
     }
 }
 
 ProgramCache::LookupResult
 ProgramCache::lookup(const restructure::Kernel &kernel,
-                     const DrxConfig &cfg, Tick tick)
+                     const DrxConfig &cfg, Tick)
 {
     LookupResult out;
     out.key = kernelStructuralHash(kernel, cfg);
@@ -288,7 +262,7 @@ ProgramCache::lookup(const restructure::Kernel &kernel,
         kernelStructurallyEqual(it->second.kernel, kernel)) {
         it->second.last_used = _clock;
         out.compiled = it->second.compiled;
-        out.timing = _cfg.timing_memo ? it->second.timing : nullptr;
+        out.timing = it->second.timing;
         out.hit = true;
         ++_counters.compile_hits;
         ++_stat_hits;
@@ -302,7 +276,6 @@ ProgramCache::lookup(const restructure::Kernel &kernel,
             ++_stat_timing_misses;
             bump(g_timing_misses);
         }
-        traceEvent("hit", tick);
         return out;
     }
 
@@ -320,14 +293,13 @@ ProgramCache::lookup(const restructure::Kernel &kernel,
     ++_counters.compile_misses;
     ++_stat_misses;
     bump(g_compile_misses);
-    traceEvent("miss", tick);
-    evictIfNeeded(tick);
+    evictIfNeeded();
     return out;
 }
 
 ProgramCache::LookupResult
 ProgramCache::lookupFused(const std::vector<restructure::Kernel> &parts,
-                          const DrxConfig &cfg, Tick tick,
+                          const DrxConfig &cfg, Tick,
                           const std::function<CompiledKernel()> &plan)
 {
     LookupResult out;
@@ -348,7 +320,7 @@ ProgramCache::lookupFused(const std::vector<restructure::Kernel> &parts,
         drxConfigEqual(it->second.cfg, cfg) && partsEqual(it->second)) {
         it->second.last_used = _clock;
         out.compiled = it->second.compiled;
-        out.timing = _cfg.timing_memo ? it->second.timing : nullptr;
+        out.timing = it->second.timing;
         out.hit = true;
         ++_counters.compile_hits;
         ++_stat_hits;
@@ -362,7 +334,6 @@ ProgramCache::lookupFused(const std::vector<restructure::Kernel> &parts,
             ++_stat_timing_misses;
             bump(g_timing_misses);
         }
-        traceEvent("hit", tick);
         return out;
     }
 
@@ -378,8 +349,7 @@ ProgramCache::lookupFused(const std::vector<restructure::Kernel> &parts,
     ++_counters.compile_misses;
     ++_stat_misses;
     bump(g_compile_misses);
-    traceEvent("miss", tick);
-    evictIfNeeded(tick);
+    evictIfNeeded();
     return out;
 }
 
@@ -495,8 +465,7 @@ runKernelOnDrxCached(const restructure::Kernel &kernel,
     // ECC-scrubbed runs are excluded for the same reason: a memo must
     // hold the base timing only, so replayRun can add each replay's
     // own scrub penalty without double-charging the recorded one.
-    if (cache->config().timing_memo && !res.faulted &&
-        res.ecc_corrected == 0 &&
+    if (!res.faulted && res.ecc_corrected == 0 &&
         installed->shape_deterministic && !ref.timing &&
         installed.get() == ref.compiled.get()) {
         cache->storeTiming(

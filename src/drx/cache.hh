@@ -4,10 +4,10 @@
  * memoization layer (see DESIGN.md Sec. 7e).
  *
  * Compiling a restructure::Kernel is a pure function of the kernel's
- * structure and the DRX hardware configuration, so repeat workloads --
- * the closed-loop system sims, the retry loop in the runtime's command
- * queue, every bench harness under --repeat -- can share one lowered
- * plan instead of re-running the compiler. Three tiers:
+ * structure and the DRX hardware configuration, so repeated work -- the
+ * app-model builds that re-time the same reduced kernels, the runtime's
+ * retries and repeated submissions of one kernel -- can share one
+ * lowered plan instead of re-running the compiler. Three tiers:
  *
  *  1. ProgramCache memoizes planKernel() output keyed by a structural
  *     hash of (kernel, DrxConfig), with an LRU bound and hit/miss/
@@ -29,9 +29,8 @@
  * totals (globalCounters()) are plain atomics whose final values are
  * schedule-independent.
  *
- * Kill switch: DrxCacheConfig::enabled, or the DMX_NO_DRX_CACHE
- * environment variable (any non-empty value) which flips the default
- * configuration off for the whole process.
+ * DrxCacheConfig::enabled = false turns one instance into a pass-through
+ * to the uncached path; the tests compare the two.
  */
 
 #ifndef DMX_DRX_CACHE_HH
@@ -55,20 +54,8 @@ namespace dmx::drx
 struct DrxCacheConfig
 {
     bool enabled = true;      ///< master switch (miss-only when false)
-    bool timing_memo = true;  ///< tier-2 RunResult memoization
     std::size_t capacity = 64; ///< max cached plans (LRU beyond this)
-    /// Emit DrxCache trace instants on hit/miss/evict. Off by default
-    /// so golden traces recorded before the cache existed stay
-    /// byte-identical.
-    bool trace_events = false;
 };
-
-/**
- * @return the process-default cache configuration: enabled unless the
- * DMX_NO_DRX_CACHE environment variable is set to a non-empty value.
- * The environment is read once, at first use.
- */
-DrxCacheConfig defaultCacheConfig();
 
 /** Hit/miss/eviction totals (plain values; see also globalCounters). */
 struct CacheCounters
@@ -122,7 +109,7 @@ bool drxConfigEqual(const DrxConfig &a, const DrxConfig &b);
 class ProgramCache
 {
   public:
-    explicit ProgramCache(DrxCacheConfig cfg = defaultCacheConfig());
+    explicit ProgramCache(DrxCacheConfig cfg = {});
 
     const DrxCacheConfig &config() const { return _cfg; }
     void setConfig(const DrxCacheConfig &cfg);
@@ -132,7 +119,7 @@ class ProgramCache
     {
         std::shared_ptr<const CompiledKernel> compiled; ///< base-0 plan
         /// Per-stage timing memo, or null when none is recorded (first
-        /// run, non-shape-deterministic kernel, or timing_memo off).
+        /// run, or a non-shape-deterministic kernel).
         std::shared_ptr<const std::vector<RunResult>> timing;
         std::uint64_t key = 0;
         bool hit = false; ///< compile-cache hit (plan was already there)
@@ -140,8 +127,8 @@ class ProgramCache
 
     /**
      * Look up (and on a miss, plan and insert) @p kernel for hardware
-     * @p cfg. Always returns a valid base-0 plan. @p tick anchors the
-     * optional trace instants in simulated time.
+     * @p cfg. Always returns a valid base-0 plan. @p tick, the caller's
+     * simulated time, is unused: the cache records no trace events.
      */
     LookupResult lookup(const restructure::Kernel &kernel,
                         const DrxConfig &cfg, Tick tick = 0);
@@ -179,7 +166,7 @@ class ProgramCache
     /**
      * The calling thread's default cache. Thread-local so parallel
      * scenario workers (src/exec/) stay independent and deterministic;
-     * configured from defaultCacheConfig() on first use per thread.
+     * default-configured on first use per thread.
      */
     static ProgramCache &process();
 
@@ -206,8 +193,7 @@ class ProgramCache
         std::vector<restructure::Kernel> parts;
     };
 
-    void evictIfNeeded(Tick tick);
-    void traceEvent(const char *what, Tick tick) const;
+    void evictIfNeeded();
 
     DrxCacheConfig _cfg;
     std::unordered_map<std::uint64_t, Entry> _entries;

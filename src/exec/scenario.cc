@@ -1,10 +1,12 @@
 #include "exec/scenario.hh"
 
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace dmx::exec
 {
@@ -15,11 +17,11 @@ resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("DMX_JOBS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1)
-            dmx_fatal("DMX_JOBS='%s': expected a positive integer", env);
-        return static_cast<unsigned>(v);
+        unsigned v = 0;
+        if (!parseDecimal(env, v) || v < 1)
+            dmx_fatal("DMX_JOBS='%s': expected a worker count in [1, %u]",
+                      env, UINT_MAX);
+        return v;
     }
     const unsigned hc = std::thread::hardware_concurrency();
     return hc > 0 ? hc : 1;
@@ -33,12 +35,11 @@ parseJobsFlag(int argc, char **argv)
             continue;
         if (i + 1 >= argc)
             dmx_fatal("%s: --jobs needs a worker count", argv[0]);
-        char *end = nullptr;
-        const long v = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0' || v < 1)
-            dmx_fatal("%s: --jobs '%s': expected a positive integer",
-                      argv[0], argv[i + 1]);
-        return static_cast<unsigned>(v);
+        unsigned v = 0;
+        if (!parseDecimal(argv[i + 1], v) || v < 1)
+            dmx_fatal("%s: --jobs '%s': expected a worker count in [1, %u]",
+                      argv[0], argv[i + 1], UINT_MAX);
+        return v;
     }
     return 0;
 }

@@ -44,7 +44,7 @@ Core::plan(Platform &p, const ChainOp &op, bool fuse)
     if (op.kind != ChainOp::Kind::Restructure)
         return plans;
     const drx::DrxConfig &cfg = p._devices[op.device].machine->config();
-    const bool cached = p.platformConfig().drx_cache.enabled;
+    const bool cached = p.drxCache().config().enabled;
     if (fuse && op.kernels.size() > 1) {
         drx::FusedChainPlan fp = drx::planFusedChain(
             op.kernels, cfg, cached ? &p.drxCache() : nullptr, p.now());

@@ -71,8 +71,6 @@ Platform::Platform()
         _host_params.max_job_cores);
     _irq = std::make_unique<driver::InterruptController>(
         _eq, "runtime.irq", driver::InterruptParams{}, _host.get());
-    _drx_cache =
-        std::make_unique<drx::ProgramCache>(_config.drx_cache);
 }
 
 Platform::~Platform() = default;
@@ -227,13 +225,6 @@ Platform::setCommandPolicy(const CommandPolicy &policy)
     _policy = policy;
     if (_plan && _policy.timeout == 0)
         _policy.timeout = default_fault_timeout;
-}
-
-void
-Platform::setPlatformConfig(const PlatformConfig &cfg)
-{
-    _config = cfg;
-    _drx_cache->setConfig(cfg.drx_cache);
 }
 
 void

@@ -347,17 +347,6 @@ struct DeviceFaultStats
 using RetryPolicyFn =
     std::function<bool(Context &ctx, DeviceId dev, unsigned next_attempt)>;
 
-/**
- * Platform-wide performance knobs (reliability policy lives in
- * CommandPolicy / robust::RobustConfig instead).
- */
-struct PlatformConfig
-{
-    /// Compiled-kernel cache configuration for the platform's DRX
-    /// queues. Defaults honour the DMX_NO_DRX_CACHE kill switch.
-    drx::DrxCacheConfig drx_cache = drx::defaultCacheConfig();
-};
-
 /** The platform: devices, fabric and the simulated clock. */
 class Platform
 {
@@ -475,20 +464,13 @@ class Platform
     // ------------------------------------------------- performance
 
     /**
-     * Replace the platform performance configuration. Reconfigures the
-     * DRX compiled-kernel cache in place (cached plans stay valid: they
-     * are immutable and keyed by kernel structure).
-     */
-    void setPlatformConfig(const PlatformConfig &cfg);
-
-    const PlatformConfig &platformConfig() const { return _config; }
-
-    /**
      * The platform's compiled-kernel cache. One instance is safe for
      * every queue: commands execute on the single simulated event-loop
-     * thread.
+     * thread. Reconfigure it in place with drxCache().setConfig()
+     * (cached plans stay valid: they are immutable and keyed by kernel
+     * structure); with enabled = false every submission plans afresh.
      */
-    drx::ProgramCache &drxCache() { return *_drx_cache; }
+    drx::ProgramCache &drxCache() { return _drx_cache; }
 
     /** @return the breaker of @p id (nullptr when breakers are off). */
     const robust::CircuitBreaker *deviceBreaker(DeviceId id) const;
@@ -563,8 +545,7 @@ class Platform
     CommandPolicy _policy;
     RetryPolicyFn _retry_policy;
     robust::RobustConfig _robust;
-    PlatformConfig _config;
-    std::unique_ptr<drx::ProgramCache> _drx_cache;
+    drx::ProgramCache _drx_cache;
     Rng _jitter; ///< backoff jitter stream (reseeded per plan)
     cpu::HostParams _host_params;
     std::unique_ptr<cpu::CorePool> _host;

@@ -109,8 +109,8 @@ class EventHandle
  *
  * The queue is not thread-safe; each engine instance is single-threaded
  * by design (reproducibility beats parallel host speed at this scale).
- * Intra-scenario parallelism comes from running independent engine
- * instances on separate threads (see sys::simulateSystemSharded).
+ * Parallelism comes from running independent scenarios, each with its
+ * own queue, on separate threads (see exec::ScenarioRunner).
  */
 class EventQueue
 {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "common/percentile.hh"
 #include "drx/cache.hh"
-#include "exec/scenario.hh"
 #include "robust/admission.hh"
 #include "robust/credit.hh"
 #include "sim/eventq.hh"
@@ -41,106 +39,20 @@ toString(ChainSubmission c)
     return "?";
 }
 
-double
-percentileNearestRank(std::vector<double> values, double p)
-{
-    return common::percentileNearestRank(std::move(values), p);
-}
-
 namespace
 {
 
 /** Time phases attributed per request. */
 enum class Phase { Kernel, Restructure, Movement };
 
-/**
- * Global-index bookkeeping for one fabric domain of a larger system.
- * A shard simulates apps [first_app, first_app + count); first_switch
- * and first_card offset its locally created switches and standalone
- * DRX cards so every node, unit and track name matches what the
- * monolithic engine would have produced for the same hardware.
- */
-struct ShardLayout
-{
-    unsigned first_app = 0;
-    unsigned count = 0;
-    unsigned first_switch = 0;
-    unsigned first_card = 0;
-};
-
-/** Raw per-app outputs of one shard, in global app order. */
-struct ShardAppResult
-{
-    double latency_ms_sum = 0;
-    std::vector<double> latencies_ms;
-    std::uint64_t shed = 0;
-    std::uint64_t deadline_misses = 0;
-    std::uint64_t gate_stalls = 0;
-    Tick gate_stall_ticks = 0;
-    Tick time_ticks[3] = {0, 0, 0};
-    std::vector<Tick> stage_ticks;
-};
-
-/**
- * Everything one shard's closed loop produced, kept raw (per-app and
- * per-unit) so SystemSim::finalize can replay the monolithic engine's
- * exact accumulation order over the concatenation of all shards.
- */
-struct ShardResult
-{
-    std::vector<ShardAppResult> apps;
-    Tick last_done = 0;
-    std::uint64_t interrupts = 0;
-    std::uint64_t polls = 0;
-    std::uint64_t pcie_bytes = 0;
-    std::uint64_t flow_retries = 0;
-    std::uint64_t dropped_irqs = 0;
-    std::uint64_t queue_overflows = 0;
-    std::uint64_t peak_active_flows = 0;
-    std::uint64_t driver_round_trips = 0;
-    std::uint64_t desc_fetches = 0;
-    std::uint64_t doorbells = 0;
-    std::uint64_t suppressed_notifications = 0;
-    std::uint64_t coalesced_bursts = 0;
-    double host_busy_core_seconds = 0;
-    /// Per-unit busy seconds and active watts in unit-creation order:
-    /// summed flat in finalize so the single-shard sum is bit-identical
-    /// to the legacy in-place accumulation.
-    std::vector<double> accel_busy_seconds;
-    std::vector<double> accel_watts;
-    std::vector<double> drx_busy_seconds;
-    unsigned drx_unit_count = 0;
-    /// The shard's private trace (only filled when the caller had an
-    /// active buffer); appended to the caller's buffer in shard order.
-    trace::TraceBuffer trace;
-};
-
-/** The whole live simulation state (one fabric domain). */
+/** The whole live simulation state. */
 class SystemSim
 {
   public:
-    SystemSim(const SystemConfig &cfg, const std::vector<AppModel> &apps,
-              ShardLayout layout);
+    SystemSim(const SystemConfig &cfg, const std::vector<AppModel> &apps);
+
+    /** Run the closed loop to completion and aggregate its stats. */
     RunStats run();
-
-    /** Run this shard's closed loop and harvest its raw outputs. */
-    ShardResult simulate();
-
-    /**
-     * Fold shard outputs (in domain order) into RunStats, replaying
-     * the legacy aggregation loop over the flattened app and unit
-     * sequences so a single full-system shard reduces bit-identically
-     * to the pre-shard engine.
-     */
-    static RunStats finalize(const SystemConfig &cfg,
-                             std::vector<ShardResult> &shards);
-
-    /** @return the layout covering the whole system as one shard. */
-    static ShardLayout
-    fullLayout(const SystemConfig &cfg)
-    {
-        return ShardLayout{0, cfg.n_apps, 0, 0};
-    }
 
   private:
     struct AppInstance
@@ -171,11 +83,11 @@ class SystemSim
         /// Whether the in-flight motion's RX push was accepted; a
         /// rejected (overflowed) push must not be popped later.
         bool push_ok = true;
-        /// Batched-submission cursors (SystemConfig::batch > 1), kept
-        /// PER APP so batching never couples shard domains: flow
-        /// submission seq (one doorbell per `batch` submissions) and
-        /// pipeline-step completion seq (one interrupt per `batch`
-        /// steps, the rest discovered by completion-record polls).
+        /// Batched-submission cursors (SystemConfig::batch > 1), per
+        /// app: flow submission seq (one doorbell per `batch`
+        /// submissions) and pipeline-step completion seq (one
+        /// interrupt per `batch` steps, the rest discovered by
+        /// completion-record polls).
         std::uint64_t submission_seq = 0;
         std::uint64_t completion_seq = 0;
     };
@@ -236,7 +148,6 @@ class SystemSim
     void reportOverflow(const driver::DataQueue &q);
 
     const SystemConfig &_cfg;
-    const ShardLayout _layout;
     sim::EventQueue _eq;
     std::unique_ptr<pcie::Fabric> _fabric;
     std::unique_ptr<cpu::CorePool> _pool;
@@ -256,8 +167,9 @@ class SystemSim
     std::uint64_t _inflight = 0;
     std::uint64_t _queue_overflows = 0;
     Tick _last_done = 0;
-    /// Per-accelerator active watts in creation order (finalize sums
-    /// these flat, preserving the legacy accumulation order exactly).
+    /// Per-accelerator active watts in creation order. run() sums
+    /// these and the busy times below in that order; another order
+    /// would move the energy goldens in their last bits.
     std::vector<double> _accel_watts;
     unsigned _drx_unit_count = 0;
     std::vector<accel::DeviceUnit *> _accel_unit_ptrs;
@@ -265,20 +177,13 @@ class SystemSim
 };
 
 SystemSim::SystemSim(const SystemConfig &cfg,
-                     const std::vector<AppModel> &apps,
-                     ShardLayout layout)
-    : _cfg(cfg), _layout(layout)
+                     const std::vector<AppModel> &apps)
+    : _cfg(cfg)
 {
     if (apps.empty())
         dmx_fatal("simulateSystem: no application models");
     if (cfg.n_apps == 0)
         dmx_fatal("simulateSystem: need at least one application");
-    if (_layout.count == 0 ||
-        _layout.first_app + _layout.count > cfg.n_apps)
-        dmx_fatal("simulateSystem: shard layout [%u, %u) outside the "
-                  "%u-app system",
-                  _layout.first_app, _layout.first_app + _layout.count,
-                  cfg.n_apps);
 
     _pool = std::make_unique<cpu::CorePool>(
         _eq, "host.pool", cfg.host.cores, cfg.host.max_job_cores);
@@ -348,28 +253,22 @@ SystemSim::SystemSim(const SystemConfig &cfg,
     pcie::NodeId cur_switch = 0;
     unsigned cur_ports = ports_per_switch; // force a switch on first app
     unsigned switch_count = 0;
-    std::vector<pcie::NodeId> switch_ids;
     const unsigned up_lanes =
-        cfg.upstream_lanes != 0
-            ? cfg.upstream_lanes
-            : (cfg.gen == pcie::Generation::Gen3 ? upstream_lanes : 16);
+        cfg.gen == pcie::Generation::Gen3 ? upstream_lanes : 16;
     auto ensure_ports = [&](unsigned needed) {
         if (!uses_fabric)
             return;
         if (cur_ports + needed > ports_per_switch) {
             cur_switch = _fabric->addNode(
                 pcie::NodeKind::Switch,
-                "sw" + std::to_string(_layout.first_switch +
-                                      switch_count++));
+                "sw" + std::to_string(switch_count++));
             _fabric->connect(_rc, cur_switch, cfg.gen, up_lanes);
-            switch_ids.push_back(cur_switch);
             cur_ports = 0;
             if (cfg.placement == Placement::PcieIntegrated) {
                 // In-switch DRX: fat internal attach (line rate).
                 const pcie::NodeId n = _fabric->addNode(
                     pcie::NodeKind::EndPoint,
-                    "swdrx" + std::to_string(_layout.first_switch +
-                                             switch_count - 1));
+                    "swdrx" + std::to_string(switch_count - 1));
                 _fabric->connect(cur_switch, n,
                                  pcie::Generation::Gen5, 16);
             }
@@ -377,12 +276,7 @@ SystemSim::SystemSim(const SystemConfig &cfg,
         cur_ports += needed;
     };
 
-    for (unsigned i = 0; i < _layout.count; ++i) {
-        // Global application index: names, model selection, priorities
-        // and standalone-card packing all follow the whole system's
-        // numbering so a shard builds exactly the hardware slice the
-        // monolithic engine would.
-        const unsigned g = _layout.first_app + i;
+    for (unsigned g = 0; g < cfg.n_apps; ++g) {
         AppInstance inst;
         inst.model = &apps[g % apps.size()];
         const std::size_t kcount = inst.model->kernels.size();
@@ -403,7 +297,6 @@ SystemSim::SystemSim(const SystemConfig &cfg,
 
         if (new_card) {
             const unsigned card_id =
-                _layout.first_card +
                 static_cast<unsigned>(standalone_cards.size());
             standalone_nodes.push_back(_fabric->addNode(
                 pcie::NodeKind::EndPoint,
@@ -548,9 +441,8 @@ SystemSim::closePhase(AppInstance &app, Phase phase, std::size_t stage)
 std::string
 SystemSim::trackName(const AppInstance &app) const
 {
-    return "app" + std::to_string(_layout.first_app +
-                                  static_cast<unsigned>(&app -
-                                                        _apps.data()));
+    return "app" +
+           std::to_string(static_cast<unsigned>(&app - _apps.data()));
 }
 
 void
@@ -938,131 +830,74 @@ SystemSim::requestDone(std::size_t a)
         startRequest(a);
 }
 
-ShardResult
-SystemSim::simulate()
+RunStats
+SystemSim::run()
 {
     // Stagger application start times: real deployments do not launch
     // every pipeline in the same microsecond, and lock-step starts
-    // artificially synchronize the contention on the host pool. The
-    // stagger follows the *global* app index so a shard's apps start
-    // at the same ticks as in the monolithic run.
+    // artificially synchronize the contention on the host pool.
     for (std::size_t a = 0; a < _apps.size(); ++a) {
-        _eq.schedule(
-            static_cast<Tick>(_layout.first_app + a) * 250 * tick_per_us,
-            [this, a] { startRequest(a); });
+        _eq.schedule(static_cast<Tick>(a) * 250 * tick_per_us,
+                     [this, a] { startRequest(a); });
     }
     _eq.run();
 
-    ShardResult r;
-    for (AppInstance &app : _apps) {
+    RunStats stats;
+    const double n_reqs = static_cast<double>(_cfg.requests_per_app) *
+                          static_cast<double>(_apps.size());
+    double tput_sum = 0;
+    double bottleneck = 0;
+    for (const AppInstance &app : _apps) {
         if (app.requests_done != _cfg.requests_per_app)
             dmx_panic("system: app '%s' finished %u of %u requests",
                       app.model->name.c_str(), app.requests_done,
                       _cfg.requests_per_app);
-        ShardAppResult ar;
-        ar.latency_ms_sum = app.latency_ms_sum;
-        ar.latencies_ms = std::move(app.latencies_ms);
-        ar.shed = app.shed;
-        ar.deadline_misses = app.deadline_misses;
+        // Latency means are over *completed* requests; shed requests
+        // never started, so they carry no latency. With admission off
+        // (shed == 0) this is the legacy divisor bit for bit.
+        const double completed =
+            static_cast<double>(_cfg.requests_per_app - app.shed);
+        stats.per_app_latency_ms.push_back(
+            completed > 0 ? app.latency_ms_sum / completed : 0.0);
+        stats.avg_latency_ms += stats.per_app_latency_ms.back();
+        stats.per_app_p99_latency_ms.push_back(
+            common::percentileNearestRank(app.latencies_ms, 0.99));
+        stats.per_app_shed.push_back(app.shed);
+        stats.shed_requests += app.shed;
+        stats.per_app_deadline_misses.push_back(app.deadline_misses);
+        stats.deadline_misses += app.deadline_misses;
         for (const auto &gate : app.gates) {
-            ar.gate_stalls += gate->stalls();
-            ar.gate_stall_ticks += gate->stallTicks();
+            stats.backpressure_stalls += gate->stalls();
+            stats.backpressure_stall_ticks += gate->stallTicks();
         }
-        for (int p = 0; p < 3; ++p)
-            ar.time_ticks[p] = app.time_ticks[p];
-        ar.stage_ticks = std::move(app.stage_ticks);
-        r.apps.push_back(std::move(ar));
-    }
-    r.last_done = _last_done;
-    r.interrupts = _irq->interruptsDelivered();
-    r.polls = _irq->pollsDelivered();
-    r.pcie_bytes = _fabric ? _fabric->totalBytes() : 0;
-    r.flow_retries = _flow_retries;
-    r.dropped_irqs = _dropped_irqs;
-    r.queue_overflows = _queue_overflows;
-    r.peak_active_flows = _fabric ? _fabric->peakActiveFlows() : 0;
-    r.driver_round_trips = _driver_round_trips;
-    r.desc_fetches = _desc_fetches;
-    r.doorbells = _fabric ? _fabric->doorbells() : 0;
-    r.suppressed_notifications = _suppressed_notifications;
-    r.coalesced_bursts = _irq->coalescedBursts();
-    r.host_busy_core_seconds = _pool->busyCoreSeconds();
-    for (const accel::DeviceUnit *u : _accel_unit_ptrs)
-        r.accel_busy_seconds.push_back(u->busySeconds());
-    r.accel_watts = _accel_watts;
-    for (const accel::DeviceUnit *u : _drx_unit_ptrs)
-        r.drx_busy_seconds.push_back(u->busySeconds());
-    r.drx_unit_count = _drx_unit_count;
-    return r;
-}
+        stats.kernel_ticks += app.time_ticks[0];
+        stats.restructure_ticks += app.time_ticks[1];
+        stats.movement_ticks += app.time_ticks[2];
 
-RunStats
-SystemSim::finalize(const SystemConfig &cfg,
-                    std::vector<ShardResult> &shards)
-{
-    RunStats stats;
-    std::size_t n_apps_total = 0;
-    for (const ShardResult &sh : shards)
-        n_apps_total += sh.apps.size();
-    const double n_reqs =
-        static_cast<double>(cfg.requests_per_app) *
-        static_cast<double>(n_apps_total);
-    double tput_sum = 0;
-    double bottleneck = 0;
-    Tick last_done = 0;
-    for (ShardResult &sh : shards) {
-        for (ShardAppResult &app : sh.apps) {
-            // Latency means are over *completed* requests; shed
-            // requests never started, so they carry no latency. With
-            // admission off (shed == 0) this is the legacy divisor bit
-            // for bit.
-            const double completed =
-                static_cast<double>(cfg.requests_per_app - app.shed);
-            stats.per_app_latency_ms.push_back(
-                completed > 0 ? app.latency_ms_sum / completed : 0.0);
-            stats.avg_latency_ms += stats.per_app_latency_ms.back();
-            stats.per_app_p99_latency_ms.push_back(
-                percentileNearestRank(app.latencies_ms, 0.99));
-            stats.per_app_shed.push_back(app.shed);
-            stats.shed_requests += app.shed;
-            stats.per_app_deadline_misses.push_back(app.deadline_misses);
-            stats.deadline_misses += app.deadline_misses;
-            stats.backpressure_stalls += app.gate_stalls;
-            stats.backpressure_stall_ticks += app.gate_stall_ticks;
-            stats.kernel_ticks += app.time_ticks[0];
-            stats.restructure_ticks += app.time_ticks[1];
-            stats.movement_ticks += app.time_ticks[2];
-
-            double worst_stage_ms = 0;
-            for (Tick s : app.stage_ticks) {
-                worst_stage_ms = std::max(
-                    worst_stage_ms,
-                    completed > 0 ? ticksToMs(s) / completed : 0.0);
-            }
-            bottleneck = std::max(bottleneck, worst_stage_ms);
-            if (worst_stage_ms > 0)
-                tput_sum += 1000.0 / worst_stage_ms;
+        double worst_stage_ms = 0;
+        for (Tick s : app.stage_ticks) {
+            worst_stage_ms = std::max(
+                worst_stage_ms,
+                completed > 0 ? ticksToMs(s) / completed : 0.0);
         }
-        last_done = std::max(last_done, sh.last_done);
-        stats.interrupts += sh.interrupts;
-        stats.polls += sh.polls;
-        stats.pcie_bytes += sh.pcie_bytes;
-        stats.flow_retries += sh.flow_retries;
-        stats.dropped_irqs += sh.dropped_irqs;
-        stats.queue_overflows += sh.queue_overflows;
-        // A per-domain fabric only sees its own flows: across domains
-        // the peaks need not coincide in time, so the max over domains
-        // is a lower bound on (and for one domain exactly) the global
-        // peak.
-        stats.peak_active_flows =
-            std::max(stats.peak_active_flows, sh.peak_active_flows);
-        stats.driver_round_trips += sh.driver_round_trips;
-        stats.descriptor_fetches += sh.desc_fetches;
-        stats.doorbells += sh.doorbells;
-        stats.notifications_suppressed += sh.suppressed_notifications;
-        stats.coalesced_bursts += sh.coalesced_bursts;
+        bottleneck = std::max(bottleneck, worst_stage_ms);
+        if (worst_stage_ms > 0)
+            tput_sum += 1000.0 / worst_stage_ms;
     }
-    const double n_apps = static_cast<double>(n_apps_total);
+    stats.interrupts = _irq->interruptsDelivered();
+    stats.polls = _irq->pollsDelivered();
+    stats.pcie_bytes = _fabric ? _fabric->totalBytes() : 0;
+    stats.flow_retries = _flow_retries;
+    stats.dropped_irqs = _dropped_irqs;
+    stats.queue_overflows = _queue_overflows;
+    stats.peak_active_flows = _fabric ? _fabric->peakActiveFlows() : 0;
+    stats.driver_round_trips = _driver_round_trips;
+    stats.descriptor_fetches = _desc_fetches;
+    stats.doorbells = _fabric ? _fabric->doorbells() : 0;
+    stats.notifications_suppressed = _suppressed_notifications;
+    stats.coalesced_bursts = _irq->coalescedBursts();
+
+    const double n_apps = static_cast<double>(_apps.size());
     stats.avg_latency_ms /= n_apps;
     stats.breakdown.kernel_ms = ticksToMs(stats.kernel_ticks) / n_reqs;
     stats.breakdown.restructure_ms =
@@ -1070,32 +905,26 @@ SystemSim::finalize(const SystemConfig &cfg,
     stats.breakdown.movement_ms = ticksToMs(stats.movement_ticks) / n_reqs;
     stats.avg_throughput_rps = tput_sum / n_apps;
     stats.bottleneck_stage_ms = bottleneck;
-    stats.makespan_ms = ticksToMs(last_done);
-    stats.makespan_ticks = last_done;
+    stats.makespan_ms = ticksToMs(_last_done);
+    stats.makespan_ticks = _last_done;
 
-    // Energy: flat per-unit sums over the shard sequence reproduce the
-    // legacy creation-order accumulation exactly.
+    // Energy: per-unit inputs summed in unit-creation order.
     EnergyInputs ein;
-    ein.makespan_seconds = ticksToSeconds(last_done);
+    ein.makespan_seconds = ticksToSeconds(_last_done);
+    ein.host_busy_core_seconds = _pool->busyCoreSeconds();
+    for (const accel::DeviceUnit *u : _accel_unit_ptrs)
+        ein.accel_busy_seconds += u->busySeconds();
     double accel_watts_sum = 0;
-    unsigned accel_count = 0;
-    for (const ShardResult &sh : shards) {
-        ein.host_busy_core_seconds += sh.host_busy_core_seconds;
-        for (double b : sh.accel_busy_seconds)
-            ein.accel_busy_seconds += b;
-        for (double w : sh.accel_watts) {
-            accel_watts_sum += w;
-            ++accel_count;
-        }
-        for (double b : sh.drx_busy_seconds)
-            ein.drx_busy_seconds += b;
-        ein.drx_count += sh.drx_unit_count;
-    }
-    ein.accel_count = accel_count;
-    if (accel_count > 0)
-        ein.accel_active_watts = accel_watts_sum / accel_count;
+    for (double w : _accel_watts)
+        accel_watts_sum += w;
+    for (const accel::DeviceUnit *u : _drx_unit_ptrs)
+        ein.drx_busy_seconds += u->busySeconds();
+    ein.drx_count = _drx_unit_count;
+    ein.accel_count = static_cast<unsigned>(_accel_watts.size());
+    if (ein.accel_count > 0)
+        ein.accel_active_watts = accel_watts_sum / ein.accel_count;
     ein.accel_idle_watts = watts_accel_idle;
-    switch (cfg.placement) {
+    switch (_cfg.placement) {
       case Placement::BumpInTheWire:
         ein.drx_static_watts_per_unit = watts_bitw_static;
         break;
@@ -1113,14 +942,6 @@ SystemSim::finalize(const SystemConfig &cfg,
     return stats;
 }
 
-RunStats
-SystemSim::run()
-{
-    std::vector<ShardResult> shards;
-    shards.push_back(simulate());
-    return finalize(_cfg, shards);
-}
-
 } // namespace
 
 RunStats
@@ -1131,7 +952,7 @@ simulateSystem(const SystemConfig &cfg, const std::vector<AppModel> &apps)
     const integrity::IntegrityStats ibefore =
         cfg.integrity_plan ? cfg.integrity_plan->stats()
                            : integrity::IntegrityStats{};
-    SystemSim sim(cfg, apps, SystemSim::fullLayout(cfg));
+    SystemSim sim(cfg, apps);
     RunStats stats = sim.run();
     const drx::CacheCounters after =
         drx::ProgramCache::process().counters();
@@ -1154,157 +975,6 @@ simulateSystem(const SystemConfig &cfg, const std::vector<AppModel> &apps)
         stats.link_crc_replays =
             iafter.link_crc_replays - ibefore.link_crc_replays;
     }
-    return stats;
-}
-
-namespace
-{
-
-/**
- * Replay the SystemSim constructor's switch/card packing without
- * building anything, then group applications into independent fabric
- * domains: two apps share PCIe links iff they share a switch (its
- * upstream link) or a standalone DRX card (which routes through its
- * creator's switch). Both relations only ever join an app to apps at
- * adjacent indices, so every domain is a run of consecutive apps.
- *
- * @return one layout per domain, in app order
- */
-std::vector<ShardLayout>
-partitionDomains(const SystemConfig &cfg, const std::vector<AppModel> &apps)
-{
-    const unsigned n = cfg.n_apps;
-    std::vector<unsigned> app_switch(n, 0);
-    unsigned cur_ports = ports_per_switch; // force a switch on first app
-    unsigned switch_count = 0;
-    for (unsigned g = 0; g < n; ++g) {
-        const AppModel &model = apps[g % apps.size()];
-        unsigned needed = static_cast<unsigned>(model.kernels.size());
-        const bool new_card =
-            cfg.placement == Placement::StandaloneDrx &&
-            g % apps_per_standalone_card == 0;
-        if (new_card)
-            ++needed;
-        if (cur_ports + needed > ports_per_switch) {
-            ++switch_count;
-            cur_ports = 0;
-        }
-        cur_ports += needed;
-        app_switch[g] = switch_count - 1;
-    }
-
-    // Union-find over apps; all joins are between adjacent indices.
-    std::vector<unsigned> parent(n);
-    std::iota(parent.begin(), parent.end(), 0u);
-    auto find = [&](unsigned x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    auto unite = [&](unsigned a, unsigned b) {
-        a = find(a);
-        b = find(b);
-        if (a != b)
-            parent[std::max(a, b)] = std::min(a, b);
-    };
-    for (unsigned g = 1; g < n; ++g) {
-        if (app_switch[g] == app_switch[g - 1])
-            unite(g, g - 1); // shared switch (and its upstream link)
-        if (cfg.placement == Placement::StandaloneDrx &&
-            g % apps_per_standalone_card != 0) {
-            // Shares the card created by the group's first app, which
-            // hangs off that app's switch.
-            unite(g, g - g % apps_per_standalone_card);
-        }
-    }
-
-    std::vector<ShardLayout> layouts;
-    unsigned card_count = 0;
-    for (unsigned g = 0; g < n; ++g) {
-        if (g == 0 || find(g) != find(g - 1)) {
-            ShardLayout lay;
-            lay.first_app = g;
-            lay.first_switch = app_switch[g];
-            lay.first_card = card_count;
-            layouts.push_back(lay);
-        }
-        ++layouts.back().count;
-        if (cfg.placement == Placement::StandaloneDrx &&
-            g % apps_per_standalone_card == 0)
-            ++card_count;
-    }
-    return layouts;
-}
-
-} // namespace
-
-RunStats
-simulateSystemSharded(const SystemConfig &cfg,
-                      const std::vector<AppModel> &apps, unsigned jobs)
-{
-    // Decomposability gate: shard only when every domain is provably
-    // independent (see the header contract). Everything else takes the
-    // monolithic engine, bit for bit.
-    const bool placement_ok =
-        cfg.placement == Placement::StandaloneDrx ||
-        cfg.placement == Placement::BumpInTheWire ||
-        cfg.placement == Placement::PcieIntegrated;
-    if (!placement_ok || cfg.fault_plan || cfg.integrity_plan ||
-        cfg.robust.admission.policy != robust::AdmissionPolicy::Unbounded)
-        return simulateSystem(cfg, apps);
-    if (apps.empty())
-        dmx_fatal("simulateSystemSharded: no application models");
-    if (cfg.n_apps == 0)
-        dmx_fatal("simulateSystemSharded: need at least one application");
-
-    const drx::CacheCounters before =
-        drx::ProgramCache::process().counters();
-
-    const std::vector<ShardLayout> layouts = partitionDomains(cfg, apps);
-    trace::TraceBuffer *caller_tb = trace::active();
-
-    std::vector<std::function<ShardResult()>> thunks;
-    thunks.reserve(layouts.size());
-    for (const ShardLayout &lay : layouts) {
-        thunks.push_back([&cfg, &apps, lay, caller_tb] {
-            ShardResult r;
-            if (caller_tb) {
-                // Workers have no active buffer and in serial mode the
-                // caller's own buffer is visible, so a shard always
-                // records into a private buffer (jobs-invariant by
-                // construction) that is stitched back in shard order.
-                trace::TraceBuffer tb;
-                {
-                    trace::TraceSession session(tb);
-                    SystemSim sim(cfg, apps, lay);
-                    r = sim.simulate();
-                }
-                r.trace = std::move(tb);
-            } else {
-                SystemSim sim(cfg, apps, lay);
-                r = sim.simulate();
-            }
-            return r;
-        });
-    }
-
-    exec::ScenarioRunner runner(jobs);
-    std::vector<ShardResult> results =
-        runner.run<ShardResult>(std::move(thunks));
-
-    if (caller_tb) {
-        for (const ShardResult &r : results)
-            caller_tb->append(r.trace);
-    }
-
-    RunStats stats = SystemSim::finalize(cfg, results);
-    const drx::CacheCounters after =
-        drx::ProgramCache::process().counters();
-    stats.drx_cache_hits = after.compile_hits - before.compile_hits;
-    stats.drx_cache_misses =
-        after.compile_misses - before.compile_misses;
     return stats;
 }
 

@@ -81,11 +81,10 @@ struct SystemConfig
 {
     Placement placement = Placement::BumpInTheWire;
     unsigned n_apps = 1;
-    pcie::Generation gen = pcie::Generation::Gen3;
-    /// Upstream (switch-to-CPU) lane count; 0 derives it from the
-    /// generation: Gen3 CPUs expose x8 uplinks, Gen4/Gen5 CPUs provide
+    /// PCIe generation. It also sets the upstream (switch-to-CPU)
+    /// width: Gen3 CPUs expose x8 uplinks, Gen4/Gen5 CPUs provide
     /// enough lanes for x16 uplinks (the paper's Fig. 19 discussion).
-    unsigned upstream_lanes = 0;
+    pcie::Generation gen = pcie::Generation::Gen3;
     drx::DrxConfig drx;              ///< DRX hardware configuration
     cpu::HostParams host;
     driver::InterruptParams irq;
@@ -119,7 +118,6 @@ struct SystemConfig
     /// interrupt per `batch` pipeline steps (the suppressed steps are
     /// discovered by completion-record polls at polling_latency).
     /// Default 1 is byte- and tick-identical to the unbatched loop.
-    /// Batching is per app instance, so shard domains stay independent.
     unsigned batch = 1;
 };
 
@@ -245,12 +243,6 @@ struct RunStats
 };
 
 /**
- * Nearest-rank percentile of @p values (p in (0, 1]); 0 when empty.
- * Deterministic helper shared by the sys engines and stress tools.
- */
-double percentileNearestRank(std::vector<double> values, double p);
-
-/**
  * Build and run one system.
  *
  * @param cfg  configuration (placement, scale, PCIe generation, ...)
@@ -259,45 +251,6 @@ double percentileNearestRank(std::vector<double> values, double p);
  */
 RunStats simulateSystem(const SystemConfig &cfg,
                         const std::vector<AppModel> &apps);
-
-/**
- * Build and run one system partitioned into independent fabric
- * domains, SimBricks-style: the PCIe topology decomposes into
- * connected components that share no link (each component is a run of
- * consecutive applications, their switches and any standalone DRX
- * cards serving them), each component simulates as its own closed
- * loop, and the per-domain results commit in domain order across the
- * exec::ScenarioRunner worker pool.
- *
- * Decomposability gate - sharding engages only when every domain is
- * provably independent:
- *  - placement is StandaloneDrx, BumpInTheWire or PcieIntegrated
- *    (AllCpu / MultiAxl / IntegratedDrx contend on the shared host
- *    pool, host-DRAM staging link or on-CPU DRX contexts);
- *  - no fault plan and no integrity plan (plans are stateful and
- *    consumption order is global);
- *  - admission control is Unbounded (admission depth is system-wide).
- * Any other configuration falls back to the monolithic engine and is
- * bit-identical to simulateSystem by construction.
- *
- * Determinism contract (asserted by tests/test_core_equiv.cc):
- *  - jobs-invariance: for a fixed cfg, every jobs value (1, N, auto)
- *    produces byte-identical RunStats and traces;
- *  - a single-domain partition is bit-identical to simulateSystem;
- *  - a multi-domain partition is deterministic, and its request
- *    counts, pcie_bytes, kernel_ticks, interrupts + polls and
- *    flow_retries match the monolithic run exactly; float aggregates
- *    may differ in rounding only, because each domain hosts its own
- *    InterruptController and rate-solver (their cross-app state no
- *    longer interleaves), and peak_active_flows becomes the max over
- *    domains rather than a global peak.
- *
- * @param jobs worker threads: 1 = serial, N = pool of N, 0 = resolve
- *             via DMX_JOBS / hardware concurrency
- */
-RunStats simulateSystemSharded(const SystemConfig &cfg,
-                               const std::vector<AppModel> &apps,
-                               unsigned jobs = 1);
 
 } // namespace dmx::sys
 

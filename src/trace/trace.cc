@@ -150,29 +150,6 @@ TraceBuffer::count(std::string_view name, Tick at, double delta)
     _counters.push_back(c);
 }
 
-void
-TraceBuffer::append(const TraceBuffer &other)
-{
-    if (&other == this)
-        dmx_panic("TraceBuffer::append: cannot append a buffer to itself");
-    for (const Span &s : other._spans) {
-        Span copy = s;
-        copy.name = intern(other._strings[s.name]);
-        copy.track = intern(other._strings[s.track]);
-        _spans.push_back(copy);
-    }
-    // Each sample's value is cumulative within `other`; replay the
-    // per-sample deltas through count() so totals continue on top of
-    // whatever this buffer has already accumulated under that name.
-    std::map<std::uint32_t, double> prev;
-    for (const CounterSample &c : other._counters) {
-        double &p = prev[c.name];
-        const double delta = c.value - p;
-        p = c.value;
-        count(other._strings[c.name], c.at, delta);
-    }
-}
-
 double
 TraceBuffer::counterTotal(std::string_view name) const
 {

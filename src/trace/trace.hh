@@ -70,7 +70,9 @@ enum class Category : std::uint8_t
     Flow,        ///< PCIe fabric flows and per-hop spans
     Drx,         ///< DRX machine phases (fetch / execute / DMA)
     Robust,      ///< overload protection: backpressure, shed, breakers
-    DrxCache,    ///< compiled-kernel cache hits/misses/evictions (opt-in)
+    /// Reserved: nothing records here. The slot stays so Integrity and
+    /// Serve keep their numbers, which pinned trace digests hash.
+    DrxCache,
     Integrity,   ///< data-integrity events: ECC, CRC replay, checksums
     Serve,       ///< serving layer: hedges, budget denials, brownout
     NumCategories,
@@ -153,17 +155,6 @@ class TraceBuffer
      * @p at.
      */
     void count(std::string_view name, Tick at, double delta = 1.0);
-
-    /**
-     * Append every record of @p other to this buffer, in @p other's
-     * record order, after everything already recorded here. Strings
-     * are re-interned; counter samples - whose values are cumulative
-     * *within their own buffer* - are replayed as deltas, so a counter
-     * both buffers recorded continues accumulating instead of
-     * resetting. The sharded system engine uses this to stitch
-     * per-domain traces back into the caller's buffer in domain order.
-     */
-    void append(const TraceBuffer &other);
 
     // ------------------------------------------------------ inspection
 

@@ -11,7 +11,7 @@
  * fallback - stays per member, so one failing member never poisons its
  * siblings; and all of it is deterministic, jobs-invariant, and
  * composes with the sys closed loop (SystemConfig::batch), descriptor
- * chaining, sharded execution, and the overload/serving engines.
+ * chaining, and the overload/serving engines.
  */
 
 #include <gtest/gtest.h>
@@ -757,35 +757,6 @@ TEST(SysBatch, ComposesWithDescriptorChains)
     EXPECT_LT(cb.doorbells, c.doorbells);
     EXPECT_LE(cb.driver_round_trips, c.driver_round_trips);
     EXPECT_GT(cb.notifications_suppressed, 0u);
-}
-
-TEST(SysBatch, ShardedRunsAreJobsInvariantWithBatching)
-{
-    sys::SystemConfig cfg;
-    cfg.placement = sys::Placement::StandaloneDrx;
-    cfg.n_apps = 6;
-    cfg.batch = 4;
-    const std::vector<sys::AppModel> apps{motionApp(4096),
-                                          motionApp(1024)};
-
-    const sys::RunStats mono = sys::simulateSystem(cfg, apps);
-    const sys::RunStats j1 = sys::simulateSystemSharded(cfg, apps, 1);
-    const sys::RunStats j8 = sys::simulateSystemSharded(cfg, apps, 8);
-
-    // Batching is per app instance, so shard domains stay independent:
-    // the sharded run matches the monolithic counts and is invariant
-    // across worker counts.
-    EXPECT_EQ(j1.makespan_ticks, j8.makespan_ticks);
-    EXPECT_EQ(j1.doorbells, j8.doorbells);
-    EXPECT_EQ(j1.notifications_suppressed, j8.notifications_suppressed);
-    EXPECT_EQ(j1.interrupts + j1.polls, j8.interrupts + j8.polls);
-    EXPECT_EQ(j1.pcie_bytes, j8.pcie_bytes);
-
-    EXPECT_EQ(j1.doorbells, mono.doorbells);
-    EXPECT_EQ(j1.notifications_suppressed,
-              mono.notifications_suppressed);
-    EXPECT_EQ(j1.pcie_bytes, mono.pcie_bytes);
-    EXPECT_EQ(j1.interrupts + j1.polls, mono.interrupts + mono.polls);
 }
 
 // ------------------------------------------- overload / serving layers

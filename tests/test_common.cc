@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -261,6 +262,54 @@ TEST(StrUtil, FormatBytes)
 {
     EXPECT_EQ(formatBytes(512), "512.0 B");
     EXPECT_EQ(formatBytes(8 * 1024 * 1024), "8.0 MiB");
+}
+
+TEST(StrUtil, ParseDecimalAcceptsOnlyDigitsThatFitTheType)
+{
+    struct Row
+    {
+        const char *text;
+        bool fits32;           ///< accepted into a 32-bit unsigned
+        std::uint32_t value32;
+        bool fits64;           ///< accepted into a std::uint64_t
+        std::uint64_t value64;
+    };
+    const Row rows[] = {
+        {"0", true, 0, true, 0},
+        {"7", true, 7, true, 7},
+        {"007", true, 7, true, 7},
+        {"4294967295", true, 4294967295u, true, 4294967295u},
+        {"4294967296", false, 0, true, 4294967296u},
+        {"4294967297", false, 0, true, 4294967297u},
+        {"18446744073709551615", false, 0, true, 18446744073709551615u},
+        {"18446744073709551616", false, 0, false, 0},
+        {"99999999999999999999999", false, 0, false, 0},
+        {"", false, 0, false, 0},
+        {"x", false, 0, false, 0},
+        {"-1", false, 0, false, 0},
+        {"+1", false, 0, false, 0},
+        {" 1", false, 0, false, 0},
+        {"1 ", false, 0, false, 0},
+        {"1x", false, 0, false, 0},
+        {"0x10", false, 0, false, 0},
+        {"1e3", false, 0, false, 0},
+        {"1.0", false, 0, false, 0},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.text);
+        std::uint32_t v32 = 12345; // untouched on failure
+        EXPECT_EQ(parseDecimal(r.text, v32), r.fits32);
+        EXPECT_EQ(v32, r.fits32 ? r.value32 : 12345u);
+        std::uint64_t v64 = 12345;
+        EXPECT_EQ(parseDecimal(r.text, v64), r.fits64);
+        EXPECT_EQ(v64, r.fits64 ? r.value64 : 12345u);
+    }
+    std::uint8_t v8 = 0;
+    EXPECT_TRUE(parseDecimal("255", v8));
+    EXPECT_EQ(v8, 255u);
+    EXPECT_FALSE(parseDecimal("256", v8));
+    EXPECT_EQ(v8, 255u);
+    EXPECT_FALSE(parseDecimal(nullptr, v8));
 }
 
 TEST(TableTest, PrintAlignsAndCsv)

@@ -3,7 +3,7 @@
  * The simulator-core suite (ctest label: core).
  *
  * Each core engine - the slot-arena event queue, the SoA max-min
- * fabric, the DRX interpreter, sharded system execution - is checked
+ * fabric, the system closed loop, the DRX interpreter - is checked
  * against an independent reference or a pinned result:
  *
  *  1. Event queue: the (when, prio, seq) FIFO tie-break order against
@@ -21,11 +21,6 @@
  *     shapes must be byte-equal to restructure::executeOnCpu.
  *  5. Settle visits: completion reaping scales linearly with flow
  *     count, pinned via Fabric::settleVisits().
- *  6. Sharded system contract: a single-domain partition is
- *     bit-identical to the monolithic engine, sharded runs are
- *     jobs-invariant (1 vs 8 workers), and multi-domain runs preserve
- *     the structural invariants (bytes, kernel ticks, notification
- *     counts).
  */
 
 #include <gtest/gtest.h>
@@ -60,84 +55,6 @@ using namespace dmx;
 
 namespace
 {
-
-// ------------------------------------------------------------------
-// RunStats / trace equality helpers
-
-void
-expectStatsIdentical(const sys::RunStats &a, const sys::RunStats &b,
-                     const std::string &ctx)
-{
-    SCOPED_TRACE(ctx);
-    EXPECT_EQ(a.avg_latency_ms, b.avg_latency_ms);
-    EXPECT_EQ(a.breakdown.kernel_ms, b.breakdown.kernel_ms);
-    EXPECT_EQ(a.breakdown.restructure_ms, b.breakdown.restructure_ms);
-    EXPECT_EQ(a.breakdown.movement_ms, b.breakdown.movement_ms);
-    EXPECT_EQ(a.avg_throughput_rps, b.avg_throughput_rps);
-    EXPECT_EQ(a.bottleneck_stage_ms, b.bottleneck_stage_ms);
-    EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-    EXPECT_EQ(a.makespan_ticks, b.makespan_ticks);
-    EXPECT_EQ(a.kernel_ticks, b.kernel_ticks);
-    EXPECT_EQ(a.restructure_ticks, b.restructure_ticks);
-    EXPECT_EQ(a.movement_ticks, b.movement_ticks);
-    EXPECT_EQ(a.energy.host_joules, b.energy.host_joules);
-    EXPECT_EQ(a.energy.accel_joules, b.energy.accel_joules);
-    EXPECT_EQ(a.energy.drx_joules, b.energy.drx_joules);
-    EXPECT_EQ(a.energy.pcie_joules, b.energy.pcie_joules);
-    EXPECT_EQ(a.interrupts, b.interrupts);
-    EXPECT_EQ(a.polls, b.polls);
-    EXPECT_EQ(a.pcie_bytes, b.pcie_bytes);
-    EXPECT_EQ(a.flow_retries, b.flow_retries);
-    EXPECT_EQ(a.dropped_irqs, b.dropped_irqs);
-    EXPECT_EQ(a.per_app_latency_ms, b.per_app_latency_ms);
-    EXPECT_EQ(a.per_app_p99_latency_ms, b.per_app_p99_latency_ms);
-    EXPECT_EQ(a.per_app_shed, b.per_app_shed);
-    EXPECT_EQ(a.shed_requests, b.shed_requests);
-    EXPECT_EQ(a.per_app_deadline_misses, b.per_app_deadline_misses);
-    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-    EXPECT_EQ(a.queue_overflows, b.queue_overflows);
-    EXPECT_EQ(a.backpressure_stalls, b.backpressure_stalls);
-    EXPECT_EQ(a.backpressure_stall_ticks, b.backpressure_stall_ticks);
-    EXPECT_EQ(a.peak_active_flows, b.peak_active_flows);
-    EXPECT_EQ(a.drx_cache_hits, b.drx_cache_hits);
-    EXPECT_EQ(a.drx_cache_misses, b.drx_cache_misses);
-    EXPECT_EQ(a.integrity_injected, b.integrity_injected);
-    EXPECT_EQ(a.integrity_detected, b.integrity_detected);
-    EXPECT_EQ(a.integrity_corrected, b.integrity_corrected);
-    EXPECT_EQ(a.integrity_uncorrected, b.integrity_uncorrected);
-    EXPECT_EQ(a.integrity_sdc_escapes, b.integrity_sdc_escapes);
-    EXPECT_EQ(a.link_crc_replays, b.link_crc_replays);
-    EXPECT_EQ(a.driver_round_trips, b.driver_round_trips);
-    EXPECT_EQ(a.descriptor_fetches, b.descriptor_fetches);
-}
-
-void
-expectTracesIdentical(const trace::TraceBuffer &a,
-                      const trace::TraceBuffer &b, const std::string &ctx)
-{
-    SCOPED_TRACE(ctx);
-    ASSERT_EQ(a.spans().size(), b.spans().size());
-    for (std::size_t i = 0; i < a.spans().size(); ++i) {
-        const trace::Span &sa = a.spans()[i];
-        const trace::Span &sb = b.spans()[i];
-        ASSERT_EQ(sa.begin, sb.begin) << "span " << i;
-        ASSERT_EQ(sa.end, sb.end) << "span " << i;
-        ASSERT_EQ(sa.cat, sb.cat) << "span " << i;
-        ASSERT_EQ(sa.arg, sb.arg) << "span " << i;
-        ASSERT_EQ(a.stringAt(sa.name), b.stringAt(sb.name)) << "span " << i;
-        ASSERT_EQ(a.stringAt(sa.track), b.stringAt(sb.track))
-            << "span " << i;
-    }
-    ASSERT_EQ(a.counters().size(), b.counters().size());
-    for (std::size_t i = 0; i < a.counters().size(); ++i) {
-        const trace::CounterSample &ca = a.counters()[i];
-        const trace::CounterSample &cb = b.counters()[i];
-        ASSERT_EQ(ca.at, cb.at) << "counter " << i;
-        ASSERT_EQ(ca.value, cb.value) << "counter " << i;
-        ASSERT_EQ(a.stringAt(ca.name), b.stringAt(cb.name))
-            << "counter " << i;
-    }
-}
 
 // ------------------------------------------------------------------
 // 1. Event-queue ordering properties
@@ -901,172 +818,4 @@ TEST(SettleScaling, ReapingIsLinearInFlowCount)
     // Also pin the absolute cost: no more than a few visits per flow.
     EXPECT_LE(large, small * 6) << "settle reaping is no longer linear";
     EXPECT_LE(large, 40u * 4) << "reaping visits too many flow records";
-}
-
-// ------------------------------------------------------------------
-// 6. Sharded system execution
-
-namespace
-{
-
-/** A BitW model with @p k kernels so port packing is predictable. */
-sys::AppModel
-packedApp(unsigned k, std::uint64_t seed)
-{
-    sys::AppModel app = testutil::randomChainApp(seed);
-    while (app.kernels.size() > k) {
-        app.kernels.pop_back();
-        app.motions.pop_back();
-    }
-    while (app.kernels.size() < k) {
-        app.kernels.push_back(app.kernels.back());
-        app.motions.push_back(app.motions.back());
-    }
-    // Rebuild the k-1 motion list length invariant.
-    app.motions.resize(k - 1, app.motions.front());
-    return app;
-}
-
-} // namespace
-
-TEST(ShardedSys, SingleDomainBitIdenticalToMonolithic)
-{
-    // 2 apps x 3 kernels = 6 ports: exactly one switch, one domain;
-    // the sharded engine must reproduce the monolithic run bit for bit
-    // (same code path per the contract), traces included.
-    for (const sys::Placement placement :
-         {sys::Placement::BumpInTheWire, sys::Placement::PcieIntegrated}) {
-        sys::SystemConfig cfg;
-        cfg.placement = placement;
-        cfg.n_apps = placement == sys::Placement::BumpInTheWire ? 1 : 2;
-        cfg.requests_per_app = 2;
-        const std::vector<sys::AppModel> apps = {packedApp(3, 11)};
-
-        trace::TraceBuffer tb_mono, tb_shard;
-        sys::RunStats mono, shard;
-        {
-            trace::TraceSession session(tb_mono);
-            mono = sys::simulateSystem(cfg, apps);
-        }
-        {
-            trace::TraceSession session(tb_shard);
-            shard = sys::simulateSystemSharded(cfg, apps, 1);
-        }
-        const std::string ctx = "placement " + toString(placement);
-        expectStatsIdentical(mono, shard, ctx);
-        expectTracesIdentical(tb_mono, tb_shard, ctx);
-    }
-}
-
-TEST(ShardedSys, JobsInvariance)
-{
-    // 4 apps x 3 kernels under BitW: apps {0,1} pack switch 0, apps
-    // {2,3} pack switch 1 -> two independent domains. 1 worker vs 8
-    // workers must commit byte-identical stats and traces.
-    sys::SystemConfig cfg;
-    cfg.placement = sys::Placement::BumpInTheWire;
-    cfg.n_apps = 4;
-    cfg.requests_per_app = 2;
-    const std::vector<sys::AppModel> apps = {packedApp(3, 21),
-                                             packedApp(3, 22)};
-
-    trace::TraceBuffer tb_1, tb_8;
-    sys::RunStats s1, s8;
-    {
-        trace::TraceSession session(tb_1);
-        s1 = sys::simulateSystemSharded(cfg, apps, 1);
-    }
-    {
-        trace::TraceSession session(tb_8);
-        s8 = sys::simulateSystemSharded(cfg, apps, 8);
-    }
-    expectStatsIdentical(s1, s8, "jobs 1 vs 8");
-    expectTracesIdentical(tb_1, tb_8, "jobs 1 vs 8");
-}
-
-TEST(ShardedSys, JobsInvarianceRandomSweep)
-{
-    static constexpr sys::Placement shardable[] = {
-        sys::Placement::StandaloneDrx,
-        sys::Placement::BumpInTheWire,
-        sys::Placement::PcieIntegrated,
-    };
-    for (std::uint64_t seed = 0; seed < 24; ++seed) {
-        Rng rng(seed * 5821 + 9);
-        sys::SystemConfig cfg;
-        cfg.placement = shardable[rng.below(3)];
-        cfg.n_apps = 2 + static_cast<unsigned>(rng.below(5));
-        cfg.requests_per_app = 1 + static_cast<unsigned>(rng.below(2));
-        const std::vector<sys::AppModel> apps = {
-            testutil::randomChainApp(seed * 3 + 100)};
-        const sys::RunStats s1 = sys::simulateSystemSharded(cfg, apps, 1);
-        const sys::RunStats s8 = sys::simulateSystemSharded(cfg, apps, 8);
-        expectStatsIdentical(s1, s8, "sweep seed " + std::to_string(seed));
-    }
-}
-
-TEST(ShardedSys, MultiDomainStructuralInvariants)
-{
-    // Monolithic vs multi-domain sharded: per-domain IRQ controllers
-    // change notification latencies (and with them float aggregates),
-    // but the structural integer totals are invariant.
-    sys::SystemConfig cfg;
-    cfg.placement = sys::Placement::BumpInTheWire;
-    cfg.n_apps = 4;
-    cfg.requests_per_app = 3;
-    const std::vector<sys::AppModel> apps = {packedApp(3, 31),
-                                             packedApp(3, 32)};
-    const sys::RunStats mono = sys::simulateSystem(cfg, apps);
-    const sys::RunStats shard = sys::simulateSystemSharded(cfg, apps, 8);
-
-    EXPECT_EQ(mono.pcie_bytes, shard.pcie_bytes);
-    EXPECT_EQ(mono.kernel_ticks, shard.kernel_ticks);
-    EXPECT_EQ(mono.interrupts + mono.polls,
-              shard.interrupts + shard.polls);
-    EXPECT_EQ(mono.driver_round_trips, shard.driver_round_trips);
-    EXPECT_EQ(mono.descriptor_fetches, shard.descriptor_fetches);
-    EXPECT_EQ(mono.flow_retries, shard.flow_retries);
-    EXPECT_EQ(mono.shed_requests, shard.shed_requests);
-    EXPECT_EQ(mono.queue_overflows, shard.queue_overflows);
-    EXPECT_EQ(mono.per_app_latency_ms.size(),
-              shard.per_app_latency_ms.size());
-    EXPECT_GT(shard.makespan_ticks, 0u);
-}
-
-TEST(ShardedSys, StandaloneCardsGroupDomainsAcrossSwitches)
-{
-    // StandaloneDrx: each card serves a *pair* of apps, and the pair
-    // can straddle a switch boundary - the partitioner must keep the
-    // pair in one domain. 4 apps x 2 kernels -> cards at apps 0 and 2.
-    sys::SystemConfig cfg;
-    cfg.placement = sys::Placement::StandaloneDrx;
-    cfg.n_apps = 4;
-    cfg.requests_per_app = 2;
-    const std::vector<sys::AppModel> apps = {packedApp(2, 41)};
-    const sys::RunStats s1 = sys::simulateSystemSharded(cfg, apps, 1);
-    const sys::RunStats s8 = sys::simulateSystemSharded(cfg, apps, 8);
-    expectStatsIdentical(s1, s8, "standalone grouping");
-    const sys::RunStats mono = sys::simulateSystem(cfg, apps);
-    EXPECT_EQ(mono.pcie_bytes, s8.pcie_bytes);
-    EXPECT_EQ(mono.kernel_ticks, s8.kernel_ticks);
-}
-
-TEST(ShardedSys, GateFallsBackToMonolithic)
-{
-    // Non-decomposable placements must take the monolithic path and
-    // match simulateSystem bit for bit.
-    for (const sys::Placement placement :
-         {sys::Placement::AllCpu, sys::Placement::MultiAxl,
-          sys::Placement::IntegratedDrx}) {
-        sys::SystemConfig cfg;
-        cfg.placement = placement;
-        cfg.n_apps = 2;
-        cfg.requests_per_app = 2;
-        const std::vector<sys::AppModel> apps = {packedApp(2, 51)};
-        const sys::RunStats mono = sys::simulateSystem(cfg, apps);
-        const sys::RunStats shard =
-            sys::simulateSystemSharded(cfg, apps, 8);
-        expectStatsIdentical(mono, shard,
-                             "fallback " + toString(placement));
-    }
 }

@@ -466,9 +466,9 @@ TEST(DrxCacheRuntime, FaultRetryIdenticalWithCacheOnAndOff)
 
     const auto run = [&](bool cache_on, fault::FaultPlan &plan) {
         runtime::Platform plat;
-        runtime::PlatformConfig pc;
-        pc.drx_cache.enabled = cache_on;
-        plat.setPlatformConfig(pc);
+        DrxCacheConfig cc;
+        cc.enabled = cache_on;
+        plat.drxCache().setConfig(cc);
         const runtime::DeviceId drx = plat.addDrx("drx0", {});
         plat.setFaultPlan(&plan);
         runtime::Context ctx = plat.createContext();

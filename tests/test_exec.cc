@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "common/random.hh"
@@ -173,6 +174,36 @@ TEST(ParseJobsFlag, AbsentMeansZero)
 {
     const char *argv[] = {"prog", "--json", "out.json"};
     EXPECT_EQ(exec::parseJobsFlag(3, const_cast<char **>(argv)), 0u);
+}
+
+// dmx_fatal throws std::runtime_error, so a rejected count is observable
+// in-process. None of these tests builds a runner from what it parses.
+
+TEST(ParseJobsFlag, RejectsCountsThatDoNotFitAWorkerCount)
+{
+    // 2^32 + 1 and 2^32 must not wrap to 1 worker or to 0 ("auto").
+    for (const char *bad : {"4294967297", "4294967296", "0", "-1", "+4",
+                            " 4", "4x", "0x4", ""}) {
+        SCOPED_TRACE(bad);
+        const char *argv[] = {"prog", "--jobs", bad};
+        EXPECT_THROW(exec::parseJobsFlag(3, const_cast<char **>(argv)),
+                     std::runtime_error);
+    }
+    const char *argv[] = {"prog", "--jobs", "4294967295"};
+    EXPECT_EQ(exec::parseJobsFlag(3, const_cast<char **>(argv)),
+              4294967295u);
+}
+
+TEST(ResolveJobs, RejectsEnvironmentCountsThatDoNotFit)
+{
+    // DMX_JOBS=4294967296 must not wrap to 0 workers.
+    for (const char *bad : {"4294967296", "4294967297", "0", "-2", "3 ",
+                            ""}) {
+        SCOPED_TRACE(bad);
+        setenv("DMX_JOBS", bad, 1);
+        EXPECT_THROW(exec::resolveJobs(0), std::runtime_error);
+    }
+    unsetenv("DMX_JOBS");
 }
 
 // ------------------------------------------------------------------

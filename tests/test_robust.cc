@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/percentile.hh"
 #include "exec/scenario.hh"
 #include "fault/fault.hh"
 #include "robust/admission.hh"
@@ -938,14 +939,16 @@ TEST(RobustSys, DeadlineMissesAreCountedPerApp)
 
 TEST(RobustSys, PercentileNearestRank)
 {
-    EXPECT_EQ(sys::percentileNearestRank({}, 0.99), 0.0);
-    EXPECT_EQ(sys::percentileNearestRank({5.0}, 0.99), 5.0);
+    EXPECT_EQ(common::percentileNearestRank(std::vector<double>{}, 0.99),
+              0.0);
+    EXPECT_EQ(common::percentileNearestRank(std::vector<double>{5.0}, 0.99),
+              5.0);
     std::vector<double> v;
     for (int i = 100; i >= 1; --i)
         v.push_back(i);
-    EXPECT_EQ(sys::percentileNearestRank(v, 0.99), 99.0);
-    EXPECT_EQ(sys::percentileNearestRank(v, 0.50), 50.0);
-    EXPECT_EQ(sys::percentileNearestRank(v, 1.00), 100.0);
+    EXPECT_EQ(common::percentileNearestRank(v, 0.99), 99.0);
+    EXPECT_EQ(common::percentileNearestRank(v, 0.50), 50.0);
+    EXPECT_EQ(common::percentileNearestRank(v, 1.00), 100.0);
 }
 
 // ------------------------------------------- overload engine (e2e)

@@ -35,6 +35,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "integrity/chain.hh"
 #include "integrity/integrity.hh"
 #include "runtime/runtime.hh"
@@ -177,17 +178,23 @@ main(int argc, char **argv)
                 dmx_fatal("%s needs a value", flag);
             return argv[++i];
         };
+        auto number = [&](const char *flag, auto &out) {
+            const char *s = value(flag);
+            if (!parseDecimal(s, out))
+                dmx_fatal("%s '%s': expected a non-negative decimal "
+                          "integer in range", flag, s);
+        };
         if (std::strcmp(argv[i], "--trials") == 0)
-            trials = static_cast<unsigned>(
-                std::strtoul(value("--trials"), nullptr, 10));
+            number("--trials", trials);
         else if (std::strcmp(argv[i], "--stages") == 0)
-            stages = static_cast<unsigned>(
-                std::strtoul(value("--stages"), nullptr, 10));
+            number("--stages", stages);
         else if (std::strcmp(argv[i], "--seed") == 0)
-            seed = std::strtoull(value("--seed"), nullptr, 10);
+            number("--seed", seed);
         else if (std::strcmp(argv[i], "--descriptor") == 0)
             descriptor = true;
     }
+    if (trials < 1)
+        dmx_fatal("--trials must be >= 1 (no trial proves no contract)");
     if (stages < 2)
         dmx_fatal("--stages must be >= 2 (a chain needs a hop)");
 

@@ -20,6 +20,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "sys/multi_tenant.hh"
 
 using namespace dmx;
@@ -57,14 +58,21 @@ main(int argc, char **argv)
                 dmx_fatal("%s needs a value", flag);
             return argv[++i];
         };
-        if (std::strcmp(argv[i], "--tenants") == 0)
-            sweep = {static_cast<unsigned>(
-                std::strtoul(value("--tenants"), nullptr, 10))};
-        else if (std::strcmp(argv[i], "--requests") == 0)
-            requests = static_cast<unsigned>(
-                std::strtoul(value("--requests"), nullptr, 10));
-        else if (std::strcmp(argv[i], "--placement") == 0)
+        auto number = [&](const char *flag, auto &out) {
+            const char *s = value(flag);
+            if (!parseDecimal(s, out))
+                dmx_fatal("%s '%s': expected a non-negative decimal "
+                          "integer in range", flag, s);
+        };
+        if (std::strcmp(argv[i], "--tenants") == 0) {
+            unsigned tenants = 0;
+            number("--tenants", tenants);
+            sweep = {tenants};
+        } else if (std::strcmp(argv[i], "--requests") == 0) {
+            number("--requests", requests);
+        } else if (std::strcmp(argv[i], "--placement") == 0) {
             placement = parsePlacement(value("--placement"));
+        }
     }
 
     bench::banner("Multi-tenant stress - K concurrent request streams",

@@ -22,6 +22,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strutil.hh"
 #include "sys/overload.hh"
 
 using namespace dmx;
@@ -76,20 +77,22 @@ main(int argc, char **argv)
                 dmx_fatal("%s needs a value", flag);
             return argv[++i];
         };
+        auto number = [&](const char *flag, auto &out) {
+            const char *s = value(flag);
+            if (!parseDecimal(s, out))
+                dmx_fatal("%s '%s': expected a non-negative decimal "
+                          "integer in range", flag, s);
+        };
         if (std::strcmp(argv[i], "--requests") == 0)
-            requests = static_cast<unsigned>(
-                std::strtoul(value("--requests"), nullptr, 10));
+            number("--requests", requests);
         else if (std::strcmp(argv[i], "--devices") == 0)
-            devices = static_cast<unsigned>(
-                std::strtoul(value("--devices"), nullptr, 10));
+            number("--devices", devices);
         else if (std::strcmp(argv[i], "--seed") == 0)
-            seed = std::strtoull(value("--seed"), nullptr, 10);
+            number("--seed", seed);
         else if (std::strcmp(argv[i], "--batch") == 0)
-            batch = static_cast<unsigned>(
-                std::strtoul(value("--batch"), nullptr, 10));
+            number("--batch", batch);
         else if (std::strcmp(argv[i], "--request-bytes") == 0)
-            request_bytes =
-                std::strtoull(value("--request-bytes"), nullptr, 10);
+            number("--request-bytes", request_bytes);
     }
 
     bench::banner("Overload stress - open-loop load x fault sweep",
