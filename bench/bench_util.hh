@@ -107,8 +107,6 @@ class BenchReport
                      static_cast<unsigned long long>(cc.compile_hits));
         std::fprintf(f, ",\"cache_drx_misses\":%llu",
                      static_cast<unsigned long long>(cc.compile_misses));
-        std::fprintf(f, ",\"cache_drx_timing_hits\":%llu",
-                     static_cast<unsigned long long>(cc.timing_hits));
         std::fprintf(f, ",\"cache_drx_evictions\":%llu",
                      static_cast<unsigned long long>(cc.evictions));
         std::fprintf(f, ",\"cache_drx_hit_rate\":%.17g", cc.hitRate());

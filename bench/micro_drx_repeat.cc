@@ -12,7 +12,8 @@
  * BENCH_seed.json. Host wall-clock lands in the JSON under the
  * informational "wall_" prefix: wall_ms_repeat_runs times the 19 warm
  * cached runs per kernel and wall_ms_uncached_repeat_runs the same 19
- * runs uncached, so their ratio is the cache's speedup on repeat work.
+ * runs uncached, so their ratio is what skipping the compiler saves on
+ * repeat work (every run still interprets its programs).
  */
 
 #include <chrono>
@@ -88,8 +89,8 @@ main(int argc, char **argv)
 
     constexpr unsigned repeats = 20;
     std::printf("runs per kernel: %u, cached and uncached\n\n", repeats);
-    std::printf("%-18s %10s %14s %12s %9s\n", "kernel", "programs",
-                "drx_cycles", "checksum", "shapedet");
+    std::printf("%-18s %10s %14s %12s\n", "kernel", "programs",
+                "drx_cycles", "checksum");
 
     double total_cycles = 0;
     double wall_first_ms = 0, wall_cached_ms = 0, wall_uncached_ms = 0;
@@ -150,11 +151,10 @@ main(int argc, char **argv)
 
         const drx::CompiledKernel plan =
             drx::planKernel(kernel, machine.config());
-        std::printf("%-18s %10zu %14llu %12.0f %9s\n",
+        std::printf("%-18s %10zu %14llu %12.0f\n",
                     kernel.name.c_str(), plan.programs.size(),
                     static_cast<unsigned long long>(ref.total_cycles),
-                    checksum(ref_out),
-                    plan.shape_deterministic ? "yes" : "no");
+                    checksum(ref_out));
 
         report.metric(kernel.name + "_drx_cycles",
                       static_cast<double>(ref.total_cycles));

@@ -90,9 +90,8 @@ BM_DrxSimulator(benchmark::State &state)
 
 /**
  * The same timing-only workload through the compiled-kernel cache: one
- * machine, the plan compiled once and the shape-deterministic kernels'
- * timing replayed from the memo. The sim_cycles counter must match
- * BM_DrxSimulator exactly.
+ * machine, the plan compiled once and interpreted on every iteration.
+ * The sim_cycles counter must match BM_DrxSimulator exactly.
  */
 void
 BM_DrxSimulatorCached(benchmark::State &state)

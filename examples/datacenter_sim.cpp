@@ -9,9 +9,9 @@
 
 #include <cstdio>
 #include <iostream>
-#include <cstdlib>
 
 #include "apps/benchmarks.hh"
+#include "common/strutil.hh"
 #include "common/table.hh"
 #include "sys/system.hh"
 
@@ -21,8 +21,15 @@ using namespace dmx::sys;
 int
 main(int argc, char **argv)
 {
-    const unsigned n_apps =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
+    unsigned n_apps = 8;
+    if (argc > 1 && (!parseDecimal(argv[1], n_apps) || n_apps == 0)) {
+        std::fprintf(stderr,
+                     "usage: %s [n_apps]\n"
+                     "  n_apps: concurrent applications, a positive "
+                     "decimal count (default 8); got '%s'\n",
+                     argv[0], argv[1]);
+        return 2;
+    }
     std::printf("DMX datacenter simulation: %u concurrent applications "
                 "(mixed Table I suite)\n\n", n_apps);
 

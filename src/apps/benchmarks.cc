@@ -99,8 +99,7 @@ makeMotion(const std::string &name, const Kernel &reduced, double factor,
     ops = scaleOps(ops, factor);
 
     // Cached: every suite build after the first in a thread re-times
-    // the same reduced kernels, and the timing-only run here is
-    // exactly what the tier-2 memo replays.
+    // the same reduced kernels, so it reuses their compiled plans.
     drx::DrxMachine machine(p.drx);
     const drx::RunResult drx_res =
         drx::runKernelOnDrxCached(reduced, input, machine);

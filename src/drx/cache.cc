@@ -16,8 +16,6 @@ namespace
 // per-thread contributions, so they are independent of scheduling.
 std::atomic<std::uint64_t> g_compile_hits{0};
 std::atomic<std::uint64_t> g_compile_misses{0};
-std::atomic<std::uint64_t> g_timing_hits{0};
-std::atomic<std::uint64_t> g_timing_misses{0};
 std::atomic<std::uint64_t> g_evictions{0};
 
 inline void
@@ -132,21 +130,6 @@ kernelStructuralHash(const restructure::Kernel &kernel,
     return f.h;
 }
 
-std::uint64_t
-fusedChainHash(const std::vector<restructure::Kernel> &parts,
-               const DrxConfig &cfg)
-{
-    // Tagged fold of the per-part structural hashes: the leading tag
-    // plus the length keep fused entries in a hash family disjoint
-    // from plain kernelStructuralHash values of the same content.
-    Fnv f;
-    f.u64(0xFC5EDC4A11ull); // "fused chain" domain tag
-    f.u64(parts.size());
-    for (const restructure::Kernel &k : parts)
-        f.u64(kernelStructuralHash(k, cfg));
-    return f.h;
-}
-
 namespace
 {
 
@@ -212,18 +195,7 @@ drxConfigEqual(const DrxConfig &a, const DrxConfig &b)
 
 // ---------------------------------------------------------- ProgramCache
 
-ProgramCache::ProgramCache(DrxCacheConfig cfg)
-    : _cfg(cfg),
-      _stats("drx.cache"),
-      _stat_hits(&_stats, "hits", "compiled-kernel cache hits"),
-      _stat_misses(&_stats, "misses", "compiled-kernel cache misses"),
-      _stat_timing_hits(&_stats, "timing_hits",
-                        "lookups that found a timing memo"),
-      _stat_timing_misses(&_stats, "timing_misses",
-                          "cached lookups without a timing memo"),
-      _stat_evictions(&_stats, "evictions", "LRU evictions")
-{
-}
+ProgramCache::ProgramCache(DrxCacheConfig cfg) : _cfg(cfg) {}
 
 void
 ProgramCache::setConfig(const DrxCacheConfig &cfg)
@@ -243,39 +215,26 @@ ProgramCache::evictIfNeeded()
         }
         _entries.erase(victim);
         ++_counters.evictions;
-        ++_stat_evictions;
         bump(g_evictions);
     }
 }
 
 ProgramCache::LookupResult
 ProgramCache::lookup(const restructure::Kernel &kernel,
-                     const DrxConfig &cfg, Tick)
+                     const DrxConfig &cfg)
 {
     LookupResult out;
-    out.key = kernelStructuralHash(kernel, cfg);
+    const std::uint64_t key = kernelStructuralHash(kernel, cfg);
     ++_clock;
 
-    auto it = _entries.find(out.key);
-    if (it != _entries.end() && it->second.parts.empty() &&
-        drxConfigEqual(it->second.cfg, cfg) &&
+    auto it = _entries.find(key);
+    if (it != _entries.end() && drxConfigEqual(it->second.cfg, cfg) &&
         kernelStructurallyEqual(it->second.kernel, kernel)) {
         it->second.last_used = _clock;
         out.compiled = it->second.compiled;
-        out.timing = it->second.timing;
         out.hit = true;
         ++_counters.compile_hits;
-        ++_stat_hits;
         bump(g_compile_hits);
-        if (out.timing) {
-            ++_counters.timing_hits;
-            ++_stat_timing_hits;
-            bump(g_timing_hits);
-        } else {
-            ++_counters.timing_misses;
-            ++_stat_timing_misses;
-            bump(g_timing_misses);
-        }
         return out;
     }
 
@@ -289,79 +248,11 @@ ProgramCache::lookup(const restructure::Kernel &kernel,
         std::make_shared<const CompiledKernel>(planKernel(kernel, cfg));
     e.last_used = _clock;
     out.compiled = e.compiled;
-    _entries[out.key] = std::move(e);
+    _entries[key] = std::move(e);
     ++_counters.compile_misses;
-    ++_stat_misses;
     bump(g_compile_misses);
     evictIfNeeded();
     return out;
-}
-
-ProgramCache::LookupResult
-ProgramCache::lookupFused(const std::vector<restructure::Kernel> &parts,
-                          const DrxConfig &cfg, Tick,
-                          const std::function<CompiledKernel()> &plan)
-{
-    LookupResult out;
-    out.key = fusedChainHash(parts, cfg);
-    ++_clock;
-
-    auto partsEqual = [&parts](const Entry &e) {
-        if (e.parts.size() != parts.size())
-            return false;
-        for (std::size_t i = 0; i < parts.size(); ++i)
-            if (!kernelStructurallyEqual(e.parts[i], parts[i]))
-                return false;
-        return true;
-    };
-
-    auto it = _entries.find(out.key);
-    if (it != _entries.end() && !it->second.parts.empty() &&
-        drxConfigEqual(it->second.cfg, cfg) && partsEqual(it->second)) {
-        it->second.last_used = _clock;
-        out.compiled = it->second.compiled;
-        out.timing = it->second.timing;
-        out.hit = true;
-        ++_counters.compile_hits;
-        ++_stat_hits;
-        bump(g_compile_hits);
-        if (out.timing) {
-            ++_counters.timing_hits;
-            ++_stat_timing_hits;
-            bump(g_timing_hits);
-        } else {
-            ++_counters.timing_misses;
-            ++_stat_timing_misses;
-            bump(g_timing_misses);
-        }
-        return out;
-    }
-
-    // Miss (or a collision with a plain or mismatched entry, which the
-    // partwise verification downgrades to a replacement miss).
-    Entry e;
-    e.parts = parts;
-    e.cfg = cfg;
-    e.compiled = std::make_shared<const CompiledKernel>(plan());
-    e.last_used = _clock;
-    out.compiled = e.compiled;
-    _entries[out.key] = std::move(e);
-    ++_counters.compile_misses;
-    ++_stat_misses;
-    bump(g_compile_misses);
-    evictIfNeeded();
-    return out;
-}
-
-void
-ProgramCache::storeTiming(
-    std::uint64_t key,
-    std::shared_ptr<const std::vector<RunResult>> memo)
-{
-    auto it = _entries.find(key);
-    if (it == _entries.end() || it->second.timing)
-        return; // evicted meanwhile, or already recorded (same plan)
-    it->second.timing = std::move(memo);
 }
 
 void
@@ -383,8 +274,6 @@ ProgramCache::globalCounters()
     CacheCounters c;
     c.compile_hits = g_compile_hits.load(std::memory_order_relaxed);
     c.compile_misses = g_compile_misses.load(std::memory_order_relaxed);
-    c.timing_hits = g_timing_hits.load(std::memory_order_relaxed);
-    c.timing_misses = g_timing_misses.load(std::memory_order_relaxed);
     c.evictions = g_evictions.load(std::memory_order_relaxed);
     return c;
 }
@@ -394,8 +283,6 @@ ProgramCache::resetGlobalCounters()
 {
     g_compile_hits = 0;
     g_compile_misses = 0;
-    g_timing_hits = 0;
-    g_timing_misses = 0;
     g_evictions = 0;
 }
 
@@ -412,67 +299,11 @@ runKernelOnDrxCached(const restructure::Kernel &kernel,
     if (!cache->config().enabled)
         return runKernelOnDrx(kernel, input, machine, out, trace_base);
 
-    if (input.size() != kernel.input.bytes())
-        dmx_fatal("runKernelOnDrx('%s'): input is %zu bytes, expected %zu",
-                  kernel.name.c_str(), input.size(),
-                  kernel.input.bytes());
-
-    ProgramCache::LookupResult ref =
-        cache->lookup(kernel, machine.config(), trace_base);
-
-    // Tier 2: timing-only replay. Only when no output is requested --
-    // callers that want bytes always execute for real, so cached
-    // results are by construction the machine's own results.
-    if (out == nullptr && ref.timing &&
-        ref.timing->size() == ref.compiled->programs.size()) {
-        RunResult res;
-        Tick stage_base = trace_base;
-        for (std::size_t i = 0; i < ref.compiled->programs.size(); ++i) {
-            const RunResult stage = machine.replayRun(
-                ref.compiled->programs[i], (*ref.timing)[i], stage_base);
-            stage_base += stage.time(machine.config().freq_hz);
-            res += stage;
-            if (res.faulted)
-                break; // the machine trapped; later stages never start
-        }
-        return res;
-    }
-
-    // Tier 1: reuse the cached plan; interpret for real.
-    std::shared_ptr<const CompiledKernel> installed =
-        installPlan(ref.compiled, machine);
-    machine.write(installed->input_addr, input.data(), input.size());
-    RunResult res;
-    Tick stage_base = trace_base;
-    std::vector<RunResult> stages;
-    stages.reserve(installed->programs.size());
-    for (const Program &p : installed->programs) {
-        const RunResult stage = machine.run(p, stage_base);
-        stage_base += stage.time(machine.config().freq_hz);
-        stages.push_back(stage);
-        res += stage;
-        if (res.faulted)
-            break;
-    }
-    if (out != nullptr && !res.faulted)
-        *out = machine.read(installed->output_addr,
-                            installed->out_desc.bytes());
-
-    // Record the timing memo from a fault-free run of the shared plan
-    // itself (base-0 install). Rebasing preserves timing too, but
-    // restricting recording to the canonical install keeps the
-    // argument that replay charges exactly what run() would trivial.
-    // ECC-scrubbed runs are excluded for the same reason: a memo must
-    // hold the base timing only, so replayRun can add each replay's
-    // own scrub penalty without double-charging the recorded one.
-    if (!res.faulted && res.ecc_corrected == 0 &&
-        installed->shape_deterministic && !ref.timing &&
-        installed.get() == ref.compiled.get()) {
-        cache->storeTiming(
-            ref.key, std::make_shared<const std::vector<RunResult>>(
-                         std::move(stages)));
-    }
-    return res;
+    const std::shared_ptr<const CompiledKernel> installed =
+        installPlan(cache->lookup(kernel, machine.config()).compiled,
+                    machine);
+    return runPlanOnDrx(kernel.name, *installed, input, machine, out,
+                        trace_base);
 }
 
 } // namespace dmx::drx

@@ -1,27 +1,17 @@
 /**
  * @file
- * DRX hot-path acceleration: the compiled-kernel cache and the timing
- * memoization layer (see DESIGN.md Sec. 7e).
+ * The DRX compiled-kernel cache (see DESIGN.md Sec. 7e).
  *
  * Compiling a restructure::Kernel is a pure function of the kernel's
  * structure and the DRX hardware configuration, so repeated work -- the
  * app-model builds that re-time the same reduced kernels, the runtime's
  * retries and repeated submissions of one kernel -- can share one
- * lowered plan instead of re-running the compiler. Three tiers:
- *
- *  1. ProgramCache memoizes planKernel() output keyed by a structural
- *     hash of (kernel, DrxConfig), with an LRU bound and hit/miss/
- *     eviction counters.
- *  2. For shape-deterministic plans (no data-dependent Gather opcode,
- *     see drx::shapeDeterministic) the per-stage RunResults of one
- *     fault-free execution are memoized too; timing-only callers then
- *     replay the recorded results through DrxMachine::replayRun without
- *     re-interpreting the programs. Outputs and simulated timing are
- *     bit-identical to the uncached path by construction: replay is
- *     only used when no output is requested, and the memo is only
- *     recorded from a real run of the very same installed plan.
- *  3. The interpreter itself keeps per-machine scratch arenas (see
- *     DrxMachine) so the remaining cold runs do not allocate per op.
+ * lowered plan instead of re-running the compiler. ProgramCache
+ * memoizes planKernel() output keyed by a structural hash of
+ * (kernel, DrxConfig), with an LRU bound and hit/miss/eviction
+ * counters. It memoizes nothing else: every run installs the plan and
+ * interprets it through runPlanOnDrx(), so outputs and simulated
+ * timing are the uncached path's by construction.
  *
  * Determinism: the default cache is thread-local (ProgramCache::
  * process()), so parallel scenario workers never share mutable state
@@ -37,12 +27,9 @@
 #define DMX_DRX_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
-#include "common/stats.hh"
 #include "drx/compiler.hh"
 #include "drx/machine.hh"
 #include "restructure/ir.hh"
@@ -62,8 +49,9 @@ struct CacheCounters
 {
     std::uint64_t compile_hits = 0;
     std::uint64_t compile_misses = 0;
-    std::uint64_t timing_hits = 0;    ///< lookups that found a memo
-    std::uint64_t timing_misses = 0;  ///< lookups on entries without one
+    /// Always 0: the cache memoizes plans only. Kept for readers of
+    /// the counters that predate that (perfbench's drx session).
+    std::uint64_t timing_hits = 0;
     std::uint64_t evictions = 0;
 
     double
@@ -89,19 +77,11 @@ std::uint64_t kernelStructuralHash(const restructure::Kernel &kernel,
 bool kernelStructurallyEqual(const restructure::Kernel &a,
                              const restructure::Kernel &b);
 
-/**
- * Structural hash of a fused kernel chain: a tagged fold of each
- * part's kernelStructuralHash, so a chain entry can never collide
- * "by type" with a plain single-kernel entry of the same content.
- */
-std::uint64_t fusedChainHash(const std::vector<restructure::Kernel> &parts,
-                             const DrxConfig &cfg);
-
 /** Field-by-field equality of two hardware configurations. */
 bool drxConfigEqual(const DrxConfig &a, const DrxConfig &b);
 
 /**
- * Bounded LRU cache of compiled kernels and their timing memos.
+ * Bounded LRU cache of compiled kernels.
  *
  * Not thread-safe by design: use process() for a per-thread instance,
  * or own one per single-threaded domain (runtime::Platform does).
@@ -118,50 +98,21 @@ class ProgramCache
     struct LookupResult
     {
         std::shared_ptr<const CompiledKernel> compiled; ///< base-0 plan
-        /// Per-stage timing memo, or null when none is recorded (first
-        /// run, or a non-shape-deterministic kernel).
-        std::shared_ptr<const std::vector<RunResult>> timing;
-        std::uint64_t key = 0;
         bool hit = false; ///< compile-cache hit (plan was already there)
     };
 
     /**
      * Look up (and on a miss, plan and insert) @p kernel for hardware
-     * @p cfg. Always returns a valid base-0 plan. @p tick, the caller's
-     * simulated time, is unused: the cache records no trace events.
+     * @p cfg. Always returns a valid base-0 plan.
      */
     LookupResult lookup(const restructure::Kernel &kernel,
-                        const DrxConfig &cfg, Tick tick = 0);
-
-    /**
-     * Look up (and on a miss, build via @p plan and insert) the fused
-     * plan for the kernel chain @p parts on hardware @p cfg. The entry
-     * is keyed by fusedChainHash and verified part-by-part, and shares
-     * the LRU/counter machinery with plain entries. @p plan is only
-     * invoked on a miss; it must return the fused base-0 plan (the
-     * caller has already proven the chain legal -- see
-     * drx::planFusedChain, the only intended caller).
-     */
-    LookupResult lookupFused(const std::vector<restructure::Kernel> &parts,
-                             const DrxConfig &cfg, Tick tick,
-                             const std::function<CompiledKernel()> &plan);
-
-    /**
-     * Attach a timing memo to the entry for @p key. Ignored when the
-     * entry has been evicted in the meantime or already has a memo
-     * (first recording wins; both runs measured the same plan).
-     */
-    void storeTiming(std::uint64_t key,
-                     std::shared_ptr<const std::vector<RunResult>> memo);
+                        const DrxConfig &cfg);
 
     const CacheCounters &counters() const { return _counters; }
     std::size_t size() const { return _entries.size(); }
 
     /** Drop every entry (counters are preserved). */
     void clear();
-
-    /** Dump this cache's stats. */
-    stats::StatGroup &statGroup() { return _stats; }
 
     /**
      * The calling thread's default cache. Thread-local so parallel
@@ -186,11 +137,7 @@ class ProgramCache
         restructure::Kernel kernel; ///< for collision verification
         DrxConfig cfg;
         std::shared_ptr<const CompiledKernel> compiled;
-        std::shared_ptr<const std::vector<RunResult>> timing;
         std::uint64_t last_used = 0; ///< LRU clock value
-        /// Fused-chain entries store every part kernel for collision
-        /// verification instead of `kernel`; empty marks a plain entry.
-        std::vector<restructure::Kernel> parts;
     };
 
     void evictIfNeeded();
@@ -199,23 +146,13 @@ class ProgramCache
     std::unordered_map<std::uint64_t, Entry> _entries;
     std::uint64_t _clock = 0;
     CacheCounters _counters;
-
-    stats::StatGroup _stats;
-    stats::Scalar _stat_hits;
-    stats::Scalar _stat_misses;
-    stats::Scalar _stat_timing_hits;
-    stats::Scalar _stat_timing_misses;
-    stats::Scalar _stat_evictions;
 };
 
 /**
- * Drop-in cached replacement for runKernelOnDrx(): identical outputs,
- * identical RunResult and identical trace records, computed through
- * @p cache (default: the calling thread's ProgramCache::process()).
- *
- * Tier-2 timing replay only engages when @p out is null -- callers that
- * want bytes always run the machine for real, so cached outputs are
- * the machine's own outputs.
+ * Drop-in cached replacement for runKernelOnDrx(): the plan comes out
+ * of @p cache (default: the calling thread's ProgramCache::process()),
+ * then it is installed and run through runPlanOnDrx() exactly like an
+ * uncached call, so outputs, RunResult and trace records are identical.
  */
 RunResult runKernelOnDrxCached(const restructure::Kernel &kernel,
                                const restructure::Bytes &input,

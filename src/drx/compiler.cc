@@ -585,9 +585,6 @@ planKernel(const Kernel &kernel, const DrxConfig &cfg)
 
     const auto finalize = [&]() -> CompiledKernel & {
         out.dram_bytes = machine.brk;
-        out.shape_deterministic = true;
-        for (const Program &p : out.programs)
-            out.shape_deterministic &= shapeDeterministic(p);
         return out;
     };
 
@@ -709,33 +706,6 @@ planKernel(const Kernel &kernel, const DrxConfig &cfg)
     }
     out.output_addr = cur_addr;
     return finalize();
-}
-
-bool
-shapeDeterministic(const Program &program)
-{
-    for (const Instruction &ins : program.code) {
-        switch (ins.op) {
-          case Opcode::CfgLoop:
-          case Opcode::CfgStream:
-          case Opcode::Sync:
-          case Opcode::Halt:
-          // Load/Store addresses come from stream strides and loop
-          // indices; Compute lengths come from tile sizes. All shape.
-          case Opcode::Load:
-          case Opcode::Store:
-          case Opcode::Compute:
-            break;
-          // Gather reads index *values* out of DRAM: its addresses,
-          // run coalescing and therefore mem cycles depend on data
-          // bytes. Conservatively non-memoizable (as is anything the
-          // classifier does not recognize).
-          case Opcode::Gather:
-          default:
-            return false;
-        }
-    }
-    return true;
 }
 
 std::shared_ptr<const CompiledKernel>

@@ -55,11 +55,6 @@ struct CompiledKernel
     restructure::BufferDesc out_desc;  ///< output layout
     std::vector<ConstSegment> consts;  ///< compiler-placed constants
     std::uint64_t dram_bytes = 0;      ///< total device-DRAM footprint
-    /// Every program passed the shape-determinism classifier: the
-    /// run's trip counts, vector lengths and DMA byte counts depend
-    /// only on the input shape, never on the input bytes, so timing
-    /// can be memoized (see shapeDeterministic()).
-    bool shape_deterministic = false;
 };
 
 /**
@@ -83,16 +78,6 @@ CompiledKernel planKernel(const restructure::Kernel &kernel,
 std::shared_ptr<const CompiledKernel>
 installPlan(std::shared_ptr<const CompiledKernel> plan,
             DrxMachine &machine);
-
-/**
- * Static shape-determinism classifier. A program is shape-
- * deterministic when its dynamic behaviour (loop trip counts, vector
- * lengths, DMA addresses and byte counts) is a function of the stream
- * configuration alone. Index gathers are conservatively rejected: the
- * Gather opcode reads index *values* out of DRAM, so its addresses and
- * burst coalescing depend on data bytes.
- */
-bool shapeDeterministic(const Program &program);
 
 /**
  * Compile @p kernel against @p machine's configuration, allocating the

@@ -90,14 +90,12 @@ fusePlans(const CompiledKernel &a, const CompiledKernel &b)
         fused.consts.push_back(std::move(seg));
     }
     fused.dram_bytes = std::max(a.dram_bytes, shift + b.dram_bytes);
-    fused.shape_deterministic =
-        a.shape_deterministic && b.shape_deterministic;
     return fused;
 }
 
 FusedChainPlan
 planFusedChain(const std::vector<restructure::Kernel> &kernels,
-               const DrxConfig &cfg, ProgramCache *cache, Tick tick)
+               const DrxConfig &cfg, ProgramCache *cache)
 {
     FusedChainPlan result;
     if (kernels.empty()) {
@@ -105,12 +103,12 @@ planFusedChain(const std::vector<restructure::Kernel> &kernels,
         return result;
     }
 
-    // Plan every part (memoized individually when a cache is given).
+    // Plan every part (through the cache when one is given).
     std::vector<std::shared_ptr<const CompiledKernel>> parts;
     parts.reserve(kernels.size());
     for (const auto &k : kernels) {
         if (cache && cache->config().enabled) {
-            parts.push_back(cache->lookup(k, cfg, tick).compiled);
+            parts.push_back(cache->lookup(k, cfg).compiled);
         } else {
             parts.push_back(
                 std::make_shared<CompiledKernel>(planKernel(k, cfg)));
@@ -128,22 +126,10 @@ planFusedChain(const std::vector<restructure::Kernel> &kernels,
     }
     result.verdict.ok = true;
 
-    const auto fuseAll = [&parts]() {
-        CompiledKernel acc = *parts.front();
-        for (std::size_t i = 1; i < parts.size(); ++i)
-            acc = fusePlans(acc, *parts[i]);
-        return acc;
-    };
-
-    if (cache && cache->config().enabled && kernels.size() > 1) {
-        const auto looked =
-            cache->lookupFused(kernels, cfg, tick, fuseAll);
-        result.compiled = looked.compiled;
-        result.key = looked.key;
-        result.cache_hit = looked.hit;
-    } else {
-        result.compiled = std::make_shared<CompiledKernel>(fuseAll());
-    }
+    CompiledKernel fused = *parts.front();
+    for (std::size_t i = 1; i < parts.size(); ++i)
+        fused = fusePlans(fused, *parts[i]);
+    result.compiled = std::make_shared<const CompiledKernel>(std::move(fused));
     return result;
 }
 

@@ -60,8 +60,7 @@ FusionVerdict canFusePlans(const CompiledKernel &a,
 /**
  * Fuse @p b onto @p a. Preconditions checked by canFusePlans. The
  * result is a base-0 plan like any planKernel() output: installPlan()
- * rebases it wholesale, so the ProgramCache can memoize it and
- * retries reinstall instead of recompiling.
+ * rebases it wholesale, so a retry reinstalls it instead of re-fusing.
  */
 CompiledKernel fusePlans(const CompiledKernel &a, const CompiledKernel &b);
 
@@ -72,21 +71,17 @@ struct FusedChainPlan
     std::shared_ptr<const CompiledKernel> compiled;
     /// Verdict of the first rejected pair (ok == true when compiled).
     FusionVerdict verdict;
-    std::uint64_t key = 0;  ///< fused-chain cache key (0 uncached)
-    bool cache_hit = false; ///< the fused plan came out of the cache
 };
 
 /**
  * Plan every kernel of @p kernels and fuse them left to right. With a
- * @p cache, both the per-part plans and the fused plan are memoized
- * (the fused entry is keyed by the part structure, so the same chain
- * fuses exactly once per cache). Legality is re-checked on every call:
- * the pairwise verdict is cheap next to planning, and the cached fused
- * plan is only returned for a chain that proved legal.
+ * @p cache, the per-part plans come out of it; the fused plan itself
+ * is rebuilt on every call (fusion only copies and shifts the part
+ * plans, cheap next to planning). Legality is checked on every call.
  */
 FusedChainPlan planFusedChain(const std::vector<restructure::Kernel> &kernels,
                               const DrxConfig &cfg,
-                              ProgramCache *cache = nullptr, Tick tick = 0);
+                              ProgramCache *cache = nullptr);
 
 } // namespace dmx::drx
 

@@ -240,27 +240,6 @@ DrxMachine::emitRunTrace(const Program &program, const RunResult &res,
 }
 
 RunResult
-DrxMachine::replayRun(const Program &program, const RunResult &memo,
-                      Tick trace_base)
-{
-    RunResult res;
-    if (faultTrap(trace_base, res))
-        return res;
-    // Consult the ECC hook at the same point as run() so both paths
-    // consume hook decisions in identical order. The memo itself stays
-    // ECC-free (the cache only records scrub-free runs); a SEC event
-    // here adds its penalty on top, exactly as run() would.
-    Cycles ecc_penalty = 0;
-    if (eccConsult(trace_base, res, ecc_penalty))
-        return res;
-    RunResult out = memo;
-    out.ecc_corrected += res.ecc_corrected;
-    out.total_cycles += ecc_penalty;
-    emitRunTrace(program, out, trace_base);
-    return out;
-}
-
-RunResult
 DrxMachine::run(const Program &program, Tick trace_base)
 {
     program.validate();

@@ -77,8 +77,7 @@ struct RunResult
     bool faulted = false;
     /// Single-bit scratchpad ECC events corrected in place during the
     /// run; each charged the scrub-cycle penalty on top of the base
-    /// timing (so timing memos stay ECC-free and replays add the
-    /// penalty dynamically).
+    /// timing.
     std::uint32_t ecc_corrected = 0;
     /// A double-bit scratchpad upset was detected but not correctable:
     /// the run aborted like a machine fault (faulted is set too) so
@@ -150,22 +149,6 @@ class DrxMachine
     RunResult run(const Program &program, Tick trace_base = 0);
 
     /**
-     * Timing-memoization fast path: charge a previously measured
-     * @p memo for @p program without re-interpreting it.
-     *
-     * Behaves exactly like run() for everything observable outside the
-     * machine's DRAM: the fault hook is consulted (and a Fault traps
-     * with the same cost and trace records), and on the happy path the
-     * same trace spans and counters are emitted before @p memo is
-     * returned. Only valid when @p memo was recorded by run() of the
-     * same program on a machine of the same configuration and the
-     * program is shape-deterministic (see drx::shapeDeterministic);
-     * drx::ProgramCache enforces both. Device DRAM is not touched.
-     */
-    RunResult replayRun(const Program &program, const RunResult &memo,
-                        Tick trace_base = 0);
-
-    /**
      * Install (or clear, with nullptr) the fault-injection hook
      * consulted at the start of every program run. A Fault decision
      * aborts the run after the trap cost, with result.faulted set.
@@ -177,12 +160,10 @@ class DrxMachine
 
     /**
      * Install (or clear, with nullptr) the scratchpad SEC-DED ECC hook
-     * consulted once per program run, in both run() and replayRun()
-     * and at the same decision point, so hook-consumption order - and
-     * with it the whole simulation - is identical between interpreted
-     * and timing-replayed execution. A CorrectSingle decision adds the
-     * scrub penalty to the run's cycle count; a DetectDouble decision
-     * aborts the run with ecc_uncorrectable (and faulted) set.
+     * consulted once per program run, right after the fault hook. A
+     * CorrectSingle decision adds the scrub penalty to the run's cycle
+     * count; a DetectDouble decision aborts the run with
+     * ecc_uncorrectable (and faulted) set.
      */
     void setEccHook(fault::EccHook hook) { _ecc_hook = std::move(hook); }
 

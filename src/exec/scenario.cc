@@ -1,6 +1,6 @@
 #include "exec/scenario.hh"
 
-#include <climits>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -11,20 +11,30 @@
 namespace dmx::exec
 {
 
+namespace
+{
+
+/// Largest worker count resolveJobs() and parseJobsFlag() accept.
+constexpr unsigned max_jobs = 1024;
+
+} // namespace
+
 unsigned
 resolveJobs(unsigned requested)
 {
+    if (requested > max_jobs)
+        dmx_fatal("%u workers requested: expected a worker count in "
+                  "[1, %u]", requested, max_jobs);
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("DMX_JOBS")) {
         unsigned v = 0;
-        if (!parseDecimal(env, v) || v < 1)
+        if (!parseDecimal(env, v) || v < 1 || v > max_jobs)
             dmx_fatal("DMX_JOBS='%s': expected a worker count in [1, %u]",
-                      env, UINT_MAX);
+                      env, max_jobs);
         return v;
     }
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? hc : 1;
+    return std::clamp(std::thread::hardware_concurrency(), 1u, max_jobs);
 }
 
 unsigned
@@ -36,9 +46,9 @@ parseJobsFlag(int argc, char **argv)
         if (i + 1 >= argc)
             dmx_fatal("%s: --jobs needs a worker count", argv[0]);
         unsigned v = 0;
-        if (!parseDecimal(argv[i + 1], v) || v < 1)
+        if (!parseDecimal(argv[i + 1], v) || v < 1 || v > max_jobs)
             dmx_fatal("%s: --jobs '%s': expected a worker count in [1, %u]",
-                      argv[0], argv[i + 1], UINT_MAX);
+                      argv[0], argv[i + 1], max_jobs);
         return v;
     }
     return 0;

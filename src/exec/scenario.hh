@@ -54,12 +54,17 @@ namespace dmx::exec
 /**
  * Resolve a worker count: @p requested if nonzero, else the DMX_JOBS
  * environment variable, else the hardware concurrency (at least 1).
+ * Every worker is an OS thread, so counts are capped at 1024: a
+ * requested or DMX_JOBS count above that is fatal (a typo such as
+ * 40000 must not start 40,000 threads) and the hardware count is
+ * clamped to it.
  */
 unsigned resolveJobs(unsigned requested);
 
 /**
  * Parse a `--jobs N` flag out of @p argv (the flag is left in place).
- * @return N when present (fatal on a malformed value), 0 otherwise
+ * @return N when present (fatal on a malformed value or one above the
+ *         1024-worker cap), 0 otherwise
  */
 unsigned parseJobsFlag(int argc, char **argv);
 

@@ -47,7 +47,7 @@ Core::plan(Platform &p, const ChainOp &op, bool fuse)
     const bool cached = p.drxCache().config().enabled;
     if (fuse && op.kernels.size() > 1) {
         drx::FusedChainPlan fp = drx::planFusedChain(
-            op.kernels, cfg, cached ? &p.drxCache() : nullptr, p.now());
+            op.kernels, cfg, cached ? &p.drxCache() : nullptr);
         if (fp.verdict.ok && fp.compiled) {
             plans.push_back(std::move(fp.compiled));
             return plans;
@@ -55,7 +55,7 @@ Core::plan(Platform &p, const ChainOp &op, bool fuse)
     }
     for (const restructure::Kernel &k : op.kernels) {
         plans.push_back(cached
-                            ? p.drxCache().lookup(k, cfg, p.now()).compiled
+                            ? p.drxCache().lookup(k, cfg).compiled
                             : std::make_shared<const drx::CompiledKernel>(
                                   drx::planKernel(k, cfg)));
     }

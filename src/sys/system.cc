@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/percentile.hh"
-#include "drx/cache.hh"
 #include "robust/admission.hh"
 #include "robust/credit.hh"
 #include "sim/eventq.hh"
@@ -947,18 +946,11 @@ SystemSim::run()
 RunStats
 simulateSystem(const SystemConfig &cfg, const std::vector<AppModel> &apps)
 {
-    const drx::CacheCounters before =
-        drx::ProgramCache::process().counters();
     const integrity::IntegrityStats ibefore =
         cfg.integrity_plan ? cfg.integrity_plan->stats()
                            : integrity::IntegrityStats{};
     SystemSim sim(cfg, apps);
     RunStats stats = sim.run();
-    const drx::CacheCounters after =
-        drx::ProgramCache::process().counters();
-    stats.drx_cache_hits = after.compile_hits - before.compile_hits;
-    stats.drx_cache_misses =
-        after.compile_misses - before.compile_misses;
     if (cfg.integrity_plan) {
         const integrity::IntegrityStats &iafter =
             cfg.integrity_plan->stats();

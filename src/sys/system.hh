@@ -190,13 +190,10 @@ struct RunStats
     /// Peak concurrently in-flight fabric flows (overload depth).
     std::uint64_t peak_active_flows = 0;
 
-    /// DRX compiled-kernel cache activity attributed to this run:
-    /// deltas of the calling thread's drx::ProgramCache::process()
-    /// counters across the simulation. The closed loops replay
-    /// pre-timed drx_cycles, so these are 0 for them by construction
-    /// (the cache works at AppModel build time; those totals live in
-    /// drx::ProgramCache::globalCounters()); any future engine that
-    /// interprets DRX programs inside the loop reports here.
+    /// Always 0: the closed loop replays pre-timed drx_cycles and never
+    /// plans or runs a DRX program, so it never consults the compiled-
+    /// kernel cache (which works at AppModel build time; those totals
+    /// live in drx::ProgramCache::globalCounters()).
     std::uint64_t drx_cache_hits = 0;
     std::uint64_t drx_cache_misses = 0;
 
@@ -230,16 +227,6 @@ struct RunStats
     std::uint64_t doorbells = 0;
     std::uint64_t notifications_suppressed = 0;
     std::uint64_t coalesced_bursts = 0;
-
-    /// @return hits / (hits + misses), 0 when idle.
-    double
-    drxCacheHitRate() const
-    {
-        const std::uint64_t total = drx_cache_hits + drx_cache_misses;
-        return total
-                   ? static_cast<double>(drx_cache_hits) / total
-                   : 0.0;
-    }
 };
 
 /**

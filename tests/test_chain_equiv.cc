@@ -12,8 +12,8 @@
  * with end-to-end protection on. Fusion-legality rejections (gather
  * stages, shape-mismatched streams, mid-chain placement changes,
  * DRAM footprint) are pinned alongside, plus the descriptor-fetch
- * golden ticks at the fabric layer and fused-plan memoization in the
- * compiled-kernel cache.
+ * golden ticks at the fabric layer and the reuse of cached part plans
+ * by fusion.
  */
 
 #include <gtest/gtest.h>
@@ -458,7 +458,7 @@ TEST(FusionLegality, FusedFootprintBeyondDramIsRejected)
     EXPECT_NE(v.reason.find("footprint"), std::string::npos);
 }
 
-TEST(FusionLegality, FusedPlansAreMemoizedInTheCache)
+TEST(FusionLegality, FusedChainReusesCachedPartPlans)
 {
     drx::DrxCacheConfig cc;
     cc.enabled = true;
@@ -468,22 +468,38 @@ TEST(FusionLegality, FusedPlansAreMemoizedInTheCache)
         affineKernel("a", {DType::F32, {8, 16}}, 2.0f),
         affineKernel("b", {DType::F32, {8, 16}}, 0.5f)};
 
-    const auto first = drx::planFusedChain(parts, cfg, &cache, 0);
+    const auto first = drx::planFusedChain(parts, cfg, &cache);
     ASSERT_TRUE(first.verdict.ok);
     ASSERT_NE(first.compiled, nullptr);
-    EXPECT_FALSE(first.cache_hit);
-
-    const auto second = drx::planFusedChain(parts, cfg, &cache, 1);
+    const auto second = drx::planFusedChain(parts, cfg, &cache);
     ASSERT_TRUE(second.verdict.ok);
-    EXPECT_TRUE(second.cache_hit);
-    EXPECT_EQ(second.key, first.key);
-    // The memo returns the same compiled object: a retry reinstalls
-    // instead of recompiling.
-    EXPECT_EQ(second.compiled.get(), first.compiled.get());
+    ASSERT_NE(second.compiled, nullptr);
 
-    // The fused entry is keyed apart from its parts' plain entries.
-    const auto plain = cache.lookup(parts[0], cfg, 2);
-    EXPECT_NE(plain.key, first.key);
+    // The cache holds the part plans only: the first call plans both
+    // parts, the second reuses them and fuses again.
+    EXPECT_EQ(cache.counters().compile_misses, 2u);
+    EXPECT_EQ(cache.counters().compile_hits, 2u);
+
+    // Fusing cached part plans gives the cache-free fused plan. The
+    // disassembly carries every stream base, which fusion shifts.
+    const auto ref = drx::planFusedChain(parts, cfg);
+    ASSERT_TRUE(ref.verdict.ok);
+    const drx::CompiledKernel &want = *ref.compiled;
+    for (const auto &fp : {first, second}) {
+        const drx::CompiledKernel &got = *fp.compiled;
+        EXPECT_EQ(got.input_addr, want.input_addr);
+        EXPECT_EQ(got.output_addr, want.output_addr);
+        EXPECT_EQ(got.dram_bytes, want.dram_bytes);
+        ASSERT_EQ(got.programs.size(), want.programs.size());
+        for (std::size_t i = 0; i < want.programs.size(); ++i)
+            EXPECT_EQ(got.programs[i].disassemble(),
+                      want.programs[i].disassemble());
+        ASSERT_EQ(got.consts.size(), want.consts.size());
+        for (std::size_t i = 0; i < want.consts.size(); ++i) {
+            EXPECT_EQ(got.consts[i].addr, want.consts[i].addr);
+            EXPECT_EQ(got.consts[i].bytes, want.consts[i].bytes);
+        }
+    }
 }
 
 // -------------------------------------------- fabric descriptor ticks

@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the DRX compiled-kernel cache and timing-memoization layer
- * (src/drx/cache.*): cached-vs-uncached byte and tick identity over the
- * whole catalog, the shape-determinism classifier, LRU eviction,
- * counter exactness, fault-plan replay identity, retry plan reuse in
- * the runtime, and jobs-count invariance under the parallel scenario
- * engine.
+ * Tests for the DRX compiled-kernel cache (src/drx/cache.*):
+ * cached-vs-uncached byte and tick identity over the whole catalog,
+ * LRU eviction, counter exactness, fault-plan identity, retry plan
+ * reuse in the runtime, and jobs-count invariance under the parallel
+ * scenario engine.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 
 #include "common/random.hh"
 #include "drx/cache.hh"
@@ -161,117 +159,6 @@ TEST(DrxCache, RebasedInstallMatchesBaseZero)
     EXPECT_EQ(out, plain_out);
 }
 
-// ----------------------------------------------------- tier-2 replay
-
-TEST(DrxCache, TimingReplayIsTickIdentical)
-{
-    const Kernel kernel = restructure::videoFrameRestructure(48, 64, 32);
-    const Bytes input = randomInput(kernel.input, 7);
-    ASSERT_TRUE(planKernel(kernel, DrxConfig{}).shape_deterministic);
-
-    ProgramCache cache;
-    DrxMachine machine;
-    const RunResult first =
-        runKernelOnDrxCached(kernel, input, machine, nullptr, 0, &cache);
-    EXPECT_EQ(cache.counters().timing_hits, 0u);
-
-    for (int i = 0; i < 4; ++i) {
-        machine.resetAlloc();
-        const RunResult replay =
-            runKernelOnDrxCached(kernel, input, machine, nullptr, 0,
-                                 &cache);
-        expectSameResult(replay, first);
-    }
-    // Run 1 recorded the memo; runs 2..5 replayed it.
-    EXPECT_EQ(cache.counters().timing_hits, 4u);
-}
-
-TEST(DrxCache, OutputRequestBypassesReplay)
-{
-    const Kernel kernel = restructure::textRecordRestructure(4096, 64, 80);
-    const Bytes input = randomInput(kernel.input, 9);
-    ASSERT_TRUE(planKernel(kernel, DrxConfig{}).shape_deterministic);
-
-    ProgramCache cache;
-    DrxMachine machine;
-    runKernelOnDrxCached(kernel, input, machine, nullptr, 0, &cache);
-
-    // With an output requested the machine must execute for real even
-    // though a memo exists: the bytes are the machine's own.
-    DrxMachine plain;
-    Bytes plain_out;
-    runKernelOnDrx(kernel, input, plain, &plain_out);
-
-    machine.resetAlloc();
-    Bytes out;
-    runKernelOnDrxCached(kernel, input, machine, &out, 0, &cache);
-    // Replay cannot synthesize bytes: matching output proves the
-    // machine executed for real despite the memo being available.
-    EXPECT_EQ(out, plain_out);
-}
-
-TEST(DrxCache, NonShapeDeterministicKernelsNeverMemoize)
-{
-    const Kernel kernel = restructure::dbColumnarize(256, true);
-    const Bytes input = randomInput(kernel.input, 13);
-    ASSERT_FALSE(planKernel(kernel, DrxConfig{}).shape_deterministic);
-
-    ProgramCache cache;
-    DrxMachine machine;
-    for (int i = 0; i < 3; ++i) {
-        machine.resetAlloc();
-        runKernelOnDrxCached(kernel, input, machine, nullptr, 0, &cache);
-    }
-    EXPECT_EQ(cache.counters().timing_hits, 0u);
-    EXPECT_EQ(cache.counters().timing_misses, 2u); // runs 2 and 3
-}
-
-// ------------------------------------------------------- classifier
-
-TEST(DrxCache, ClassifierAcceptsGatherFreeKernels)
-{
-    const DrxConfig cfg;
-    EXPECT_TRUE(planKernel(restructure::videoFrameRestructure(48, 64, 32),
-                           cfg)
-                    .shape_deterministic);
-    EXPECT_TRUE(
-        planKernel(restructure::textRecordRestructure(4096, 64, 80), cfg)
-            .shape_deterministic);
-    EXPECT_TRUE(planKernel(restructure::vectorReduction(4, 512), cfg)
-                    .shape_deterministic);
-}
-
-TEST(DrxCache, ClassifierRejectsGatherKernels)
-{
-    // Banded matvec, band averaging and columnarize all lower to the
-    // Gather opcode, whose addresses are register values the static
-    // classifier conservatively treats as data-dependent.
-    const DrxConfig cfg;
-    EXPECT_FALSE(planKernel(restructure::melSpectrogram(16, 65, 24), cfg)
-                     .shape_deterministic);
-    EXPECT_FALSE(
-        planKernel(restructure::brainSignalRestructure(16, 65, 8), cfg)
-            .shape_deterministic);
-    EXPECT_FALSE(planKernel(restructure::dbColumnarize(256, true), cfg)
-                     .shape_deterministic);
-}
-
-TEST(DrxCache, ClassifierIsPerProgram)
-{
-    // A plan is shape-deterministic iff every stage program is.
-    const CompiledKernel mel =
-        planKernel(restructure::melSpectrogram(16, 65, 24), DrxConfig{});
-    bool any_gather_stage = false;
-    for (const Program &p : mel.programs)
-        any_gather_stage |= !shapeDeterministic(p);
-    EXPECT_TRUE(any_gather_stage);
-
-    const CompiledKernel video = planKernel(
-        restructure::videoFrameRestructure(48, 64, 32), DrxConfig{});
-    for (const Program &p : video.programs)
-        EXPECT_TRUE(shapeDeterministic(p));
-}
-
 // --------------------------------------------------- hashing & equality
 
 TEST(DrxCache, StructuralHashIgnoresNameDiscriminatesStructure)
@@ -362,13 +249,13 @@ TEST(DrxCache, CountersAreExact)
 
     ProgramCache cache;
     DrxMachine machine;
-    // video: miss, then 2 timing-only runs (record memo, replay it).
+    // video: miss, then 2 warm timing-only runs.
     runKernelOnDrxCached(video, video_in, machine, nullptr, 0, &cache);
     machine.resetAlloc();
     runKernelOnDrxCached(video, video_in, machine, nullptr, 0, &cache);
     machine.resetAlloc();
     runKernelOnDrxCached(video, video_in, machine, nullptr, 0, &cache);
-    // mel: miss, then one more run (no memo possible).
+    // mel: miss, then one more run.
     machine.resetAlloc();
     runKernelOnDrxCached(mel, mel_in, machine, nullptr, 0, &cache);
     machine.resetAlloc();
@@ -377,21 +264,9 @@ TEST(DrxCache, CountersAreExact)
     const CacheCounters &c = cache.counters();
     EXPECT_EQ(c.compile_misses, 2u); // one per distinct kernel
     EXPECT_EQ(c.compile_hits, 3u);   // video x2 + mel x1 warm lookups
-    // The cold video run records the memo, so both warm video lookups
-    // find it; mel (non-shape-deterministic) never records one.
-    EXPECT_EQ(c.timing_hits, 2u);
-    EXPECT_EQ(c.timing_misses, 1u); // mel run 2
+    EXPECT_EQ(c.timing_hits, 0u);    // plans only: nothing is replayed
     EXPECT_EQ(c.evictions, 0u);
     EXPECT_DOUBLE_EQ(c.hitRate(), 3.0 / 5.0);
-
-    std::ostringstream json;
-    cache.statGroup().dumpAllJson(json);
-    EXPECT_NE(json.str().find("\"group\":\"drx.cache\""),
-              std::string::npos)
-        << json.str();
-    EXPECT_NE(json.str().find("\"hits\":3"), std::string::npos);
-    EXPECT_NE(json.str().find("\"misses\":2"), std::string::npos);
-    EXPECT_NE(json.str().find("\"timing_hits\":2"), std::string::npos);
 }
 
 TEST(DrxCache, GlobalCountersAggregate)
@@ -416,8 +291,9 @@ TEST(DrxCache, GlobalCountersAggregate)
 
 TEST(DrxCache, RandomizedFaultPlanIdenticalOnAndOff)
 {
-    // Both arms consume the fault Rng stream identically: replay asks
-    // the machine hook exactly once per stage program, like a real run.
+    // Both arms consume the fault Rng stream identically: the cached
+    // arm asks the machine hook once per stage program, like the
+    // uncached one.
     const Kernel kernel = restructure::videoFrameRestructure(48, 64, 32);
     const Bytes input = randomInput(kernel.input, 21);
     fault::FaultSpec spec;
@@ -449,8 +325,6 @@ TEST(DrxCache, RandomizedFaultPlanIdenticalOnAndOff)
     EXPECT_TRUE(saw_clean);
     EXPECT_EQ(plan_ref.stats().machine_faults,
               plan_cached.stats().machine_faults);
-    // The memo was recorded and replay really engaged on this arm.
-    EXPECT_GT(cache.counters().timing_hits, 0u);
 }
 
 // ------------------------------------------------- runtime integration

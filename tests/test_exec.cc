@@ -181,29 +181,37 @@ TEST(ParseJobsFlag, AbsentMeansZero)
 
 TEST(ParseJobsFlag, RejectsCountsThatDoNotFitAWorkerCount)
 {
-    // 2^32 + 1 and 2^32 must not wrap to 1 worker or to 0 ("auto").
-    for (const char *bad : {"4294967297", "4294967296", "0", "-1", "+4",
-                            " 4", "4x", "0x4", ""}) {
+    // 2^32 + 1 and 2^32 must not wrap to 1 worker or to 0 ("auto"),
+    // and counts above the 1024-worker ceiling are rejected.
+    for (const char *bad : {"4294967297", "4294967296", "4294967295",
+                            "40000", "1025", "0", "-1", "+4", " 4", "4x",
+                            "0x4", ""}) {
         SCOPED_TRACE(bad);
         const char *argv[] = {"prog", "--jobs", bad};
         EXPECT_THROW(exec::parseJobsFlag(3, const_cast<char **>(argv)),
                      std::runtime_error);
     }
-    const char *argv[] = {"prog", "--jobs", "4294967295"};
-    EXPECT_EQ(exec::parseJobsFlag(3, const_cast<char **>(argv)),
-              4294967295u);
+    const char *argv[] = {"prog", "--jobs", "1024"};
+    EXPECT_EQ(exec::parseJobsFlag(3, const_cast<char **>(argv)), 1024u);
 }
 
 TEST(ResolveJobs, RejectsEnvironmentCountsThatDoNotFit)
 {
-    // DMX_JOBS=4294967296 must not wrap to 0 workers.
-    for (const char *bad : {"4294967296", "4294967297", "0", "-2", "3 ",
-                            ""}) {
+    // DMX_JOBS=4294967296 must not wrap to 0 workers, and counts above
+    // the 1024-worker ceiling are rejected.
+    for (const char *bad : {"4294967296", "4294967297", "4294967295",
+                            "40000", "1025", "0", "-2", "3 ", ""}) {
         SCOPED_TRACE(bad);
         setenv("DMX_JOBS", bad, 1);
         EXPECT_THROW(exec::resolveJobs(0), std::runtime_error);
     }
+    setenv("DMX_JOBS", "1024", 1);
+    EXPECT_EQ(exec::resolveJobs(0), 1024u);
     unsetenv("DMX_JOBS");
+
+    // An explicit request above the ceiling is rejected the same way.
+    EXPECT_THROW(exec::resolveJobs(1025), std::runtime_error);
+    EXPECT_EQ(exec::resolveJobs(1024), 1024u);
 }
 
 // ------------------------------------------------------------------

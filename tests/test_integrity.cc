@@ -312,46 +312,6 @@ TEST(DrxEcc, DoubleBitAbortsTheRun)
     EXPECT_EQ(m.eccUncorrectable(), 1u);
 }
 
-TEST(DrxEcc, ReplayRunChargesTheSamePenaltyAsRun)
-{
-    // Two machines consume identical ECC decision sequences: one
-    // re-runs the program, the other replays a clean memo. Observable
-    // results must match cycle for cycle (the PR 5 memo contract).
-    IntegritySpec spec;
-    spec.seed = 11;
-    spec.scratch_sec_prob = 0.5;
-    spec.scratch_ded_prob = 0.1;
-    IntegrityPlan plan_a(spec), plan_b(spec);
-
-    drx::DrxMachine real, memod;
-    const auto in_a = real.alloc(64), out_a = real.alloc(64);
-    const auto in_b = memod.alloc(64), out_b = memod.alloc(64);
-    const runtime::Bytes data = patternBytes(64);
-    real.write(in_a, data.data(), data.size());
-    memod.write(in_b, data.data(), data.size());
-
-    // Record the memo before any ECC events are possible.
-    const drx::RunResult memo = memod.run(scaleProgram(in_b, out_b));
-    ASSERT_FALSE(memo.faulted);
-    ASSERT_EQ(memo.ecc_corrected, 0u);
-    real.run(scaleProgram(in_a, out_a));
-
-    real.setEccHook([&plan_a] { return plan_a.onScratch(); });
-    memod.setEccHook([&plan_b] { return plan_b.onScratch(); });
-
-    for (int i = 0; i < 20; ++i) {
-        const drx::RunResult a = real.run(scaleProgram(in_a, out_a));
-        const drx::RunResult b =
-            memod.replayRun(scaleProgram(in_b, out_b), memo);
-        EXPECT_EQ(a.total_cycles, b.total_cycles) << "round " << i;
-        EXPECT_EQ(a.faulted, b.faulted) << "round " << i;
-        EXPECT_EQ(a.ecc_corrected, b.ecc_corrected) << "round " << i;
-        EXPECT_EQ(a.ecc_uncorrectable, b.ecc_uncorrectable)
-            << "round " << i;
-    }
-    EXPECT_GT(real.eccCorrected(), 0u);
-}
-
 // ------------------------------------------------------------ chains
 
 namespace
