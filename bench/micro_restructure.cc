@@ -119,9 +119,9 @@ BM_DrxSimulatorCached(benchmark::State &state)
 
 /**
  * The DRX micro-op interpreter hot loop in isolation: one machine
- * reused across iterations (resetAlloc instead of re-constructing the
- * modelled DRAM every time, which dominates BM_DrxSimulator), no
- * compiled-kernel cache.
+ * reused across iterations (resetAlloc, so its DRAM backing grows to
+ * the kernel's footprint once instead of on every iteration as in
+ * BM_DrxSimulator), no compiled-kernel cache.
  */
 void
 BM_DrxInterpreterHot(benchmark::State &state)

@@ -50,7 +50,7 @@ struct PlanSink
     alloc(std::uint64_t bytes)
     {
         const std::uint64_t base = (brk + 63) & ~63ull;
-        if (base + bytes > cfg.dram_bytes)
+        if (bytes > cfg.dram_bytes || base > cfg.dram_bytes - bytes)
             dmx_fatal("DrxMachine::alloc: out of device DRAM "
                       "(%llu requested at %llu of %zu)",
                       static_cast<unsigned long long>(bytes),

@@ -23,24 +23,62 @@ constexpr Cycles machine_fault_trap_cycles = 512;
 /// access. Charged on top of the run's base timing.
 constexpr Cycles machine_ecc_scrub_cycles = 32;
 
+/**
+ * Fatal unless [@p addr, @p addr + @p len) lies inside a DRAM of
+ * @p cap bytes. Written so that nothing wraps: addr + len can overflow.
+ */
+void
+checkRange(std::uint64_t addr, std::uint64_t len, std::uint64_t cap,
+           const char *what, const Program *program)
+{
+    if (len > cap || addr > cap - len)
+        dmx_fatal("DrxMachine: %s out of range (%llu bytes at %llu of "
+                  "%llu)%s%s%s",
+                  what, static_cast<unsigned long long>(len),
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(cap),
+                  program ? " in program '" : "",
+                  program ? program->name.c_str() : "", program ? "'" : "");
+}
+
+/**
+ * @return gather index @p v as an integer. Casting a negative, NaN or
+ * too-large float to an integer is undefined behaviour, and an index at
+ * or past the capacity @p cap addresses no element, so those are fatal.
+ */
+std::uint64_t
+gatherIndex(float v, std::uint64_t cap, const Program &program)
+{
+    if (!(v >= 0.0f && v < static_cast<float>(cap))) // NaN fails too
+        dmx_fatal("DrxMachine: gather index out of range (%g in program "
+                  "'%s')",
+                  static_cast<double>(v), program.name.c_str());
+    return static_cast<std::uint64_t>(v);
+}
+
 } // namespace
 
 DrxMachine::DrxMachine(DrxConfig cfg) : _cfg(cfg)
 {
     if (_cfg.lanes == 0)
         dmx_fatal("DrxMachine: need at least one RE lane");
-    _dram.resize(_cfg.dram_bytes, 0);
+}
+
+std::uint8_t *
+DrxMachine::dram(std::uint64_t addr, std::uint64_t len, const char *what,
+                 const Program *program)
+{
+    checkRange(addr, len, _cfg.dram_bytes, what, program);
+    if (addr + len > _dram.size())
+        _dram.resize(addr + len); // zero-filled, as never-written DRAM
+    return _dram.data() + addr;
 }
 
 std::uint64_t
 DrxMachine::alloc(std::uint64_t bytes)
 {
     const std::uint64_t base = (_brk + 63) & ~63ull;
-    if (base + bytes > _dram.size())
-        dmx_fatal("DrxMachine::alloc: out of device DRAM "
-                  "(%llu requested at %llu of %zu)",
-                  static_cast<unsigned long long>(bytes),
-                  static_cast<unsigned long long>(base), _dram.size());
+    dram(base, bytes, "alloc");
     _brk = base + bytes;
     return base;
 }
@@ -55,19 +93,21 @@ void
 DrxMachine::write(std::uint64_t addr, const std::uint8_t *src,
                   std::size_t len)
 {
-    if (addr + len > _dram.size())
-        dmx_fatal("DrxMachine::write: out of range");
-    std::memcpy(_dram.data() + addr, src, len);
+    std::memcpy(dram(addr, len, "write"), src, len);
 }
 
 std::vector<std::uint8_t>
 DrxMachine::read(std::uint64_t addr, std::size_t len) const
 {
-    if (addr + len > _dram.size())
-        dmx_fatal("DrxMachine::read: out of range");
-    return std::vector<std::uint8_t>(_dram.begin() + static_cast<long>(addr),
-                                     _dram.begin() +
-                                         static_cast<long>(addr + len));
+    checkRange(addr, len, _cfg.dram_bytes, "read", nullptr);
+    // Copy the backed part; bytes past the high-water mark were never
+    // written and read as zero.
+    const std::uint64_t backed = _dram.size();
+    const std::uint64_t from = std::min<std::uint64_t>(addr, backed);
+    const std::uint64_t to = std::min<std::uint64_t>(addr + len, backed);
+    std::vector<std::uint8_t> out(_dram.data() + from, _dram.data() + to);
+    out.resize(len);
+    return out;
 }
 
 Cycles
@@ -384,22 +424,22 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                 s.cfg.base +
                                 static_cast<std::uint64_t>(goff) * esz;
                             const std::uint64_t bytes = run_len * esz;
-                            if (goff < 0 || addr + bytes > _dram.size())
+                            if (goff < 0)
                                 dmx_fatal("DrxMachine: load out of range "
                                           "(program '%s')",
                                           program.name.c_str());
+                            const std::uint8_t *src =
+                                dram(addr, bytes, "load", &program);
                             if (s.cfg.dtype == DType::F32) {
                                 // loadAsFloat(F32) is a 4-byte memcpy;
                                 // the run is contiguous, so one bulk
                                 // copy is bit-identical.
-                                std::memcpy(reg.data() + g * run_len,
-                                            _dram.data() + addr, bytes);
+                                std::memcpy(reg.data() + g * run_len, src,
+                                            bytes);
                             } else {
                                 // Dtype dispatch hoisted: each case is
                                 // the same conversion loadAsFloat
                                 // applies per element, as a dense loop.
-                                const std::uint8_t *src =
-                                    _dram.data() + addr;
                                 float *out = reg.data() + g * run_len;
                                 switch (s.cfg.dtype) {
                                   case DType::F16:
@@ -473,21 +513,21 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                 s.cfg.base +
                                 static_cast<std::uint64_t>(goff) * esz;
                             const std::uint64_t bytes = run_len * esz;
-                            if (goff < 0 || addr + bytes > _dram.size())
+                            if (goff < 0)
                                 dmx_fatal("DrxMachine: store out of "
                                           "range (program '%s')",
                                           program.name.c_str());
+                            std::uint8_t *out =
+                                dram(addr, bytes, "store", &program);
                             if (s.cfg.dtype == DType::F32) {
                                 // storeFromFloat(F32) is a 4-byte
                                 // memcpy; bulk-copy the whole run.
-                                std::memcpy(_dram.data() + addr,
-                                            reg.data() + g * run_len,
+                                std::memcpy(out, reg.data() + g * run_len,
                                             bytes);
                             } else {
                                 // Dtype dispatch hoisted; identical
                                 // rounding and saturation per element
                                 // as storeFromFloat.
-                                std::uint8_t *out = _dram.data() + addr;
                                 const float *in =
                                     reg.data() + g * run_len;
                                 switch (s.cfg.dtype) {
@@ -608,9 +648,9 @@ DrxMachine::run(const Program &program, Tick trace_base)
                             // One DMA descriptor per index.
                             for (std::size_t e = 0; e < idx_reg.size();
                                  ++e) {
-                                const auto index =
-                                    static_cast<std::uint64_t>(
-                                        idx_reg[e]);
+                                const std::uint64_t index =
+                                    gatherIndex(idx_reg[e], _cfg.dram_bytes,
+                                                program);
                                 const std::uint64_t addr =
                                     s.cfg.base +
                                     (static_cast<std::uint64_t>(off) +
@@ -618,14 +658,11 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                         esz;
                                 const std::uint64_t run_bytes =
                                     expand * esz;
-                                if (addr + run_bytes > _dram.size())
-                                    dmx_fatal("DrxMachine: gather out "
-                                              "of range (program '%s')",
-                                              program.name.c_str());
+                                const std::uint8_t *src = dram(
+                                    addr, run_bytes, "gather", &program);
                                 for (std::size_t k = 0; k < expand; ++k)
                                     dst[e * expand + k] = loadAsFloat(
-                                        _dram.data() + addr + k * esz,
-                                        s.cfg.dtype);
+                                        src + k * esz, s.cfg.dtype);
                                 std::uint64_t charged;
                                 if (addr == last_end) {
                                     charged = run_bytes;
@@ -647,28 +684,26 @@ DrxMachine::run(const Program &program, Tick trace_base)
                                 bytes += run_bytes;
                             }
                         } else {
+                            std::uint64_t prev_index = 0;
                             for (std::size_t e = 0; e < idx_reg.size();
                                  ++e) {
-                                const auto index =
-                                    static_cast<std::uint64_t>(
-                                        idx_reg[e]);
+                                const std::uint64_t index =
+                                    gatherIndex(idx_reg[e], _cfg.dram_bytes,
+                                                program);
                                 const std::uint64_t addr =
                                     s.cfg.base +
                                     (static_cast<std::uint64_t>(off) +
                                      index) *
                                         esz;
-                                if (addr + esz > _dram.size())
-                                    dmx_fatal("DrxMachine: gather out "
-                                              "of range (program '%s')",
-                                              program.name.c_str());
-                                dst[e] = loadAsFloat(_dram.data() + addr,
-                                                     s.cfg.dtype);
+                                dst[e] = loadAsFloat(
+                                    dram(addr, esz, "gather", &program),
+                                    s.cfg.dtype);
                                 if (e > run_start &&
-                                    static_cast<std::uint64_t>(
-                                        idx_reg[e - 1]) + 1 != index) {
+                                    prev_index + 1 != index) {
                                     flush_run(e);
                                     run_start = e;
                                 }
+                                prev_index = index;
                             }
                             flush_run(idx_reg.size());
                         }

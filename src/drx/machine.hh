@@ -112,6 +112,12 @@ struct RunResult
  *
  * Typical use: alloc() buffers, write() inputs and constants, run()
  * one or more programs, read() outputs.
+ *
+ * The DRAM's modelled capacity is config().dram_bytes; every range
+ * check uses it. Host memory backs it only from address 0 up to the
+ * high-water mark of allocations and accesses, zero-filled as it
+ * grows, so every access sees the bytes a zero-initialized DRAM of the
+ * full capacity would hold.
  */
 class DrxMachine
 {
@@ -133,9 +139,16 @@ class DrxMachine
     void write(std::uint64_t addr, const std::uint8_t *src,
                std::size_t len);
 
-    /** Copy bytes out of device DRAM. */
+    /** Copy bytes out of device DRAM (never-written bytes read 0). */
     std::vector<std::uint8_t> read(std::uint64_t addr,
                                    std::size_t len) const;
+
+    /**
+     * @return bytes of device DRAM backed by host memory: the
+     * high-water mark of every alloc() and access, at most
+     * config().dram_bytes. read() never raises it.
+     */
+    std::uint64_t backedBytes() const { return _dram.size(); }
 
     /**
      * Execute @p program functionally and return its timing.
@@ -199,6 +212,16 @@ class DrxMachine
         std::uint32_t groups = 0;      ///< Load/Store runs per tile
     };
 
+    /**
+     * The one accessor for device DRAM: fatal unless [@p addr,
+     * @p addr + @p len) lies inside the modelled capacity (@p what and
+     * @p program name the access), then grow the backing, zero-filled,
+     * to cover the range.
+     * @return the range's first byte, valid until the next call
+     */
+    std::uint8_t *dram(std::uint64_t addr, std::uint64_t len,
+                       const char *what, const Program *program = nullptr);
+
     /** Charge a DRAM access of @p bytes starting at @p addr. */
     Cycles memCost(StreamState &s, std::uint64_t addr,
                    std::uint64_t bytes) const;
@@ -233,7 +256,7 @@ class DrxMachine
     std::uint64_t _faults = 0;
     std::uint64_t _ecc_corrected = 0;
     std::uint64_t _ecc_uncorrectable = 0;
-    std::vector<std::uint8_t> _dram;
+    std::vector<std::uint8_t> _dram; ///< backed DRAM, [0, high-water)
     std::uint64_t _brk = 0;
 
     // Interpreter scratch arena: the register file, the vector-op

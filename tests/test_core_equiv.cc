@@ -753,9 +753,7 @@ catalogAtRandomShapes(Rng &rng)
 
 TEST(DrxOracle, RandomShapeCatalogKernelsMatchCpuExecutor)
 {
-    drx::DrxConfig cfg;
-    cfg.dram_bytes = 64 * mib; // plenty for these shapes, fast to build
-    drx::DrxMachine machine(cfg);
+    drx::DrxMachine machine; // the configuration that ships
 
     for (std::uint64_t seed = 0; seed < 3; ++seed) {
         Rng shapes_rng(seed * 131 + 3);

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <string>
 
+#include "apps/benchmarks.hh"
 #include "common/random.hh"
+#include "drx/cache.hh"
 #include "drx/compiler.hh"
 #include "drx/machine.hh"
 #include "drx/program.hh"
@@ -336,6 +340,128 @@ TEST(DrxMachine, OutOfRangeAccessIsFatal)
                     .load(0, 0)
                     .build();
     EXPECT_THROW(m.run(p), std::runtime_error);
+}
+
+TEST(DrxMachine, RangeChecksDoNotWrapNearTheTopOfTheAddressSpace)
+{
+    // addr + len wraps past 2^64 for every access below; each must
+    // still be fatal instead of touching memory outside the DRAM.
+    DrxConfig cfg;
+    cfg.dram_bytes = 4096;
+    constexpr std::uint64_t top = ~0ull;
+    const std::uint8_t buf[8] = {};
+    auto copy_tile = [](std::uint64_t from, std::uint64_t to) {
+        return ProgramBuilder("wrap")
+            .loop(0, 1)
+            .streamCfg(0, from, DType::F32, 0, 0, 0, 4)
+            .streamCfg(1, to, DType::F32, 0, 0, 0, 4)
+            .sync()
+            .load(0, 0)
+            .store(1, 0)
+            .build();
+    };
+    const std::vector<
+        std::pair<std::string, std::function<void(DrxMachine &)>>>
+        cases{
+            {"write", [&](DrxMachine &m) { m.write(top - 3, buf, 8); }},
+            {"read", [](DrxMachine &m) { m.read(top - 3, 8); }},
+            {"alloc",
+             [](DrxMachine &m) {
+                 m.alloc(64);
+                 m.alloc(top - 30);
+             }},
+            {"load", [&](DrxMachine &m) { m.run(copy_tile(top - 15, 0)); }},
+            {"store",
+             [&](DrxMachine &m) { m.run(copy_tile(0, top - 15)); }},
+        };
+    for (const auto &[what, access] : cases) {
+        DrxMachine m(cfg);
+        EXPECT_THROW(access(m), std::runtime_error) << what;
+    }
+}
+
+TEST(DrxMachine, UnbackedDramReadsZeroWithoutGrowing)
+{
+    DrxMachine m; // the full default capacity, nothing backed yet
+    EXPECT_EQ(m.config().dram_bytes, 256 * mib);
+    EXPECT_EQ(m.backedBytes(), 0u);
+    const std::uint64_t last = m.config().dram_bytes - 16;
+    EXPECT_EQ(m.read(last, 16), Bytes(16, 0));
+    EXPECT_EQ(m.backedBytes(), 0u);
+
+    const Bytes data{1, 2, 3, 4};
+    m.write(60, data.data(), data.size());
+    EXPECT_EQ(m.backedBytes(), 64u);
+    // A read straddling the high-water mark: backed bytes, then zeros.
+    EXPECT_EQ(m.read(62, 4), (Bytes{3, 4, 0, 0}));
+    EXPECT_EQ(m.read(1 * mib, 8), Bytes(8, 0));
+    EXPECT_EQ(m.backedBytes(), 64u);
+}
+
+TEST(DrxMachine, WriteFarAboveHighWaterKeepsLowerContents)
+{
+    DrxMachine m;
+    const Bytes low{9, 8, 7, 6, 5, 4, 3, 2};
+    m.write(0, low.data(), low.size());
+    const Bytes high{0xAB, 0xCD};
+    const std::uint64_t far = 8 * mib;
+    m.write(far, high.data(), high.size());
+    EXPECT_EQ(m.backedBytes(), far + high.size());
+    EXPECT_EQ(m.read(0, low.size()), low);
+    EXPECT_EQ(m.read(low.size(), 4096), Bytes(4096, 0)); // the gap
+    EXPECT_EQ(m.read(far, high.size()), high);
+}
+
+TEST(DrxMachine, ProgramLoadOfNeverWrittenDramReadsZero)
+{
+    DrxMachine m;
+    const auto out = m.alloc(8 * 4);
+    const Bytes ones(8 * 4, 0xFF);
+    m.write(out, ones.data(), ones.size());
+    // Load a tile far past anything written and store it over `out`.
+    Program p = ProgramBuilder("zeros")
+                    .loop(0, 1)
+                    .streamCfg(0, 2 * mib, DType::F32, 0, 0, 0, 8)
+                    .streamCfg(1, out, DType::F32, 0, 0, 0, 8)
+                    .sync()
+                    .load(0, 0)
+                    .store(1, 0)
+                    .build();
+    m.run(p);
+    EXPECT_EQ(toFloats(m.read(out, 8 * 4)), std::vector<float>(8, 0.0f));
+}
+
+TEST(DrxMachine, FortyPaperScaleMachinesBackOnlyTheirFootprint)
+{
+    // The paper's queue budget: 40 DRXs live at once, each with the
+    // full default capacity (10 GiB if every byte were backed). Each
+    // backs no more than its kernel's compiled footprint.
+    std::vector<apps::NamedRestructure> suite;
+    for (const unsigned divisor : {8u, 64u}) {
+        for (apps::NamedRestructure &nr : apps::restructureSuite(divisor)) {
+            bool seen = false;
+            for (const apps::NamedRestructure &s : suite)
+                seen = seen || kernelStructurallyEqual(s.kernel, nr.kernel);
+            if (!seen)
+                suite.push_back(std::move(nr));
+        }
+    }
+    std::vector<Bytes> expected;
+    for (const apps::NamedRestructure &nr : suite)
+        expected.push_back(restructure::executeOnCpu(nr.kernel, nr.input));
+
+    std::vector<DrxMachine> machines(40);
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        DrxMachine &m = machines[i];
+        const apps::NamedRestructure &nr = suite[i % suite.size()];
+        ASSERT_EQ(m.config().dram_bytes, 256 * mib);
+        Bytes out;
+        runKernelOnDrx(nr.kernel, nr.input, m, &out);
+        EXPECT_EQ(out, expected[i % suite.size()]) << nr.kernel.name;
+        const CompiledKernel plan = planKernel(nr.kernel, m.config());
+        EXPECT_LE(m.backedBytes(), plan.dram_bytes) << nr.kernel.name;
+        EXPECT_LE(m.backedBytes(), 5 * mib) << nr.kernel.name;
+    }
 }
 
 TEST(DrxMachine, ScratchpadOverflowIsFatal)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "drx/machine.hh"
@@ -205,6 +206,37 @@ TEST(DrxIsa, DescriptorGatherExpandsRuns)
     m.run(p);
     EXPECT_EQ(toFloats(m.read(out, 24)),
               (std::vector<float>{4, 5, 6, 9, 10, 11}));
+}
+
+TEST(DrxIsa, GatherRejectsIndicesWithNoIntegerValue)
+{
+    // Casting a negative, NaN or huge float to an integer is undefined
+    // behaviour; on x86 such an index wraps the address back into the
+    // DRAM and reads a stale word. Both gather loops must reject it.
+    const float bad[] = {-2.0f, std::nanf(""), 1e30f};
+    for (const std::uint32_t run_len : {1u, 3u}) {
+        for (const float v : bad) {
+            DrxMachine m;
+            const auto stale = m.alloc(16 * 4);
+            const auto table = m.alloc(16 * 4);
+            const auto idx = m.alloc(2 * 4);
+            const auto old = floatBytes(std::vector<float>(16, 714.0f));
+            m.write(stale, old.data(), old.size());
+            const auto ids = floatBytes({1.0f, v});
+            m.write(idx, ids.data(), ids.size());
+            Program p = ProgramBuilder("bad_index")
+                            .loop(0, 1)
+                            .streamCfg(0, idx, DType::F32, 0, 0, 0, 2)
+                            .streamCfg(1, table, DType::F32, 0, 0, 0,
+                                       2 * run_len)
+                            .sync()
+                            .load(0, 0)
+                            .gather(1, 1, 0, run_len)
+                            .build();
+            EXPECT_THROW(m.run(p), std::runtime_error)
+                << "index " << v << ", run length " << run_len;
+        }
+    }
 }
 
 TEST(DrxIsa, ScalarOpsViaSingleElementTiles)

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "apps/benchmarks.hh"
 #include "kernels/fft.hh"
 #include "restructure/catalog.hh"
 #include "restructure/cpu_exec.hh"
+#include "runtime/chain.hh"
 #include "runtime/runtime.hh"
 
 using namespace dmx;
@@ -112,6 +115,59 @@ TEST(Runtime, RestructureOnDrxMatchesCpuExecutor)
     ctx.finish();
 
     EXPECT_EQ(ctx.read(out), restructure::executeOnCpu(kernel, input));
+}
+
+TEST(Runtime, FortyDrxCardsRunOneChainEach)
+{
+    // The paper's queue budget: 40 default-config DRX cards on one
+    // platform, each fed by one accelerator -> DRX -> accelerator chain.
+    const auto suite = apps::restructureSuite(64);
+    std::vector<Bytes> expected;
+    for (const apps::NamedRestructure &nr : suite)
+        expected.push_back(restructure::executeOnCpu(nr.kernel, nr.input));
+    auto pass = [](const Bytes &in, kernels::OpCount &) { return in; };
+
+    Platform plat;
+    const DeviceId src = plat.addAccelerator("src", accel::Domain::FFT, pass);
+    const DeviceId sink =
+        plat.addAccelerator("sink", accel::Domain::SVM, pass);
+    std::vector<DeviceId> drx;
+    for (unsigned d = 0; d < 40; ++d)
+        drx.push_back(plat.addDrx("drx" + std::to_string(d), {}));
+
+    Context ctx = plat.createContext();
+    std::vector<ChainEvent> evs;
+    std::vector<BufferId> dst;
+    for (std::size_t d = 0; d < drx.size(); ++d) {
+        const apps::NamedRestructure &nr = suite[d % suite.size()];
+        const BufferId in = ctx.createBuffer(nr.input);
+        const BufferId mid = ctx.createBuffer();
+        const BufferId out = ctx.createBuffer();
+        dst.push_back(ctx.createBuffer());
+        ChainOp to_drx;
+        to_drx.device = src;
+        to_drx.dst_device = drx[d];
+        to_drx.in = in;
+        to_drx.out = mid;
+        ChainOp restructure;
+        restructure.kind = ChainOp::Kind::Restructure;
+        restructure.device = drx[d];
+        restructure.in = mid;
+        restructure.out = out;
+        restructure.kernels = {nr.kernel};
+        ChainOp to_sink;
+        to_sink.device = drx[d];
+        to_sink.dst_device = sink;
+        to_sink.in = out;
+        to_sink.out = dst.back();
+        evs.push_back(enqueueChain(ctx, {to_drx, restructure, to_sink}));
+    }
+    ctx.finish();
+    for (std::size_t d = 0; d < drx.size(); ++d) {
+        EXPECT_TRUE(evs[d].ok()) << "drx" << d;
+        EXPECT_EQ(ctx.read(dst[d]), expected[d % suite.size()])
+            << "drx" << d;
+    }
 }
 
 TEST(Runtime, CopyMovesDataAndTakesTime)
