@@ -1,9 +1,5 @@
 #include "common/dtype.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace dmx
@@ -12,18 +8,7 @@ namespace dmx
 std::size_t
 dtypeSize(DType t)
 {
-    switch (t) {
-      case DType::F32:
-      case DType::I32:
-        return 4;
-      case DType::F16:
-      case DType::I16:
-        return 2;
-      case DType::I8:
-      case DType::U8:
-        return 1;
-    }
-    dmx_panic("dtypeSize: bad dtype");
+    return visitDType(t, [](auto c) { return dtype_bytes<c.value>; });
 }
 
 std::string
@@ -40,159 +25,51 @@ dtypeName(DType t)
     return "?";
 }
 
-std::uint16_t
-floatToHalf(float v)
+void
+badDType(const char *where)
 {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, 4);
-    const std::uint16_t sign = static_cast<std::uint16_t>((bits >> 16) &
-                                                          0x8000);
-    const std::int32_t exp = static_cast<std::int32_t>((bits >> 23) &
-                                                       0xff) - 127 + 15;
-    std::uint32_t mant = bits & 0x7fffff;
-
-    if (((bits >> 23) & 0xff) == 0xff) {
-        // Inf / NaN.
-        return static_cast<std::uint16_t>(sign | 0x7c00 |
-                                          (mant ? 0x200 : 0));
-    }
-    if (exp >= 0x1f) {
-        // Overflow: saturate to max finite half (65504).
-        return static_cast<std::uint16_t>(sign | 0x7bff);
-    }
-    if (exp <= 0) {
-        // Subnormal or underflow to zero.
-        if (exp < -10)
-            return sign;
-        mant |= 0x800000;
-        const int shift = 14 - exp;
-        std::uint32_t half_mant = mant >> shift;
-        // Round to nearest even.
-        const std::uint32_t rem = mant & ((1u << shift) - 1);
-        const std::uint32_t halfway = 1u << (shift - 1);
-        if (rem > halfway || (rem == halfway && (half_mant & 1)))
-            ++half_mant;
-        return static_cast<std::uint16_t>(sign | half_mant);
-    }
-    // Normalized. Round mantissa from 23 to 10 bits, nearest even.
-    std::uint32_t half_mant = mant >> 13;
-    const std::uint32_t rem = mant & 0x1fff;
-    if (rem > 0x1000 || (rem == 0x1000 && (half_mant & 1))) {
-        ++half_mant;
-        if (half_mant == 0x400) {
-            half_mant = 0;
-            if (exp + 1 >= 0x1f)
-                return static_cast<std::uint16_t>(sign | 0x7bff);
-            return static_cast<std::uint16_t>(
-                sign | ((exp + 1) << 10));
-        }
-    }
-    return static_cast<std::uint16_t>(sign | (exp << 10) | half_mant);
-}
-
-float
-halfToFloat(std::uint16_t h)
-{
-    const std::uint32_t sign = (h & 0x8000u) << 16;
-    const std::uint32_t exp = (h >> 10) & 0x1f;
-    const std::uint32_t mant = h & 0x3ff;
-    std::uint32_t bits;
-    if (exp == 0) {
-        if (mant == 0) {
-            bits = sign;
-        } else {
-            // Subnormal: normalize.
-            int e = -1;
-            std::uint32_t m = mant;
-            do {
-                ++e;
-                m <<= 1;
-            } while (!(m & 0x400));
-            bits = sign | static_cast<std::uint32_t>(127 - 15 - e) << 23 |
-                   ((m & 0x3ff) << 13);
-        }
-    } else if (exp == 0x1f) {
-        bits = sign | 0x7f800000 | (mant << 13);
-    } else {
-        bits = sign | ((exp - 15 + 127) << 23) | (mant << 13);
-    }
-    float out;
-    std::memcpy(&out, &bits, 4);
-    return out;
+    dmx_panic("%s: bad dtype", where);
 }
 
 float
 loadAsFloat(const std::uint8_t *src, DType t)
 {
-    switch (t) {
-      case DType::F32: {
-        float v;
-        std::memcpy(&v, src, 4);
-        return v;
-      }
-      case DType::F16: {
-        std::uint16_t h;
-        std::memcpy(&h, src, 2);
-        return halfToFloat(h);
-      }
-      case DType::I32: {
-        std::int32_t v;
-        std::memcpy(&v, src, 4);
-        return static_cast<float>(v);
-      }
-      case DType::I16: {
-        std::int16_t v;
-        std::memcpy(&v, src, 2);
-        return static_cast<float>(v);
-      }
-      case DType::I8:
-        return static_cast<float>(*reinterpret_cast<const std::int8_t *>(
-            src));
-      case DType::U8:
-        return static_cast<float>(*src);
-    }
-    dmx_panic("loadAsFloat: bad dtype");
+    return visitDType(t, [src](auto c) { return loadAs<c.value>(src); });
 }
 
 void
 storeFromFloat(std::uint8_t *dst, DType t, float v)
 {
-    switch (t) {
-      case DType::F32:
-        std::memcpy(dst, &v, 4);
+    visitDType(t, [dst, v](auto c) { storeAs<c.value>(dst, v); });
+}
+
+void
+loadRun(const std::uint8_t *src, DType t, float *out, std::size_t n)
+{
+    if (t == DType::F32) {
+        // loadAs<F32> is a 4-byte copy; one bulk copy is bit-identical.
+        std::memcpy(out, src, n * 4);
         return;
-      case DType::F16: {
-        const std::uint16_t h = floatToHalf(v);
-        std::memcpy(dst, &h, 2);
-        return;
-      }
-      case DType::I32: {
-        const double r = std::nearbyint(static_cast<double>(v));
-        const auto clamped = static_cast<std::int32_t>(
-            std::clamp(r, -2147483648.0, 2147483647.0));
-        std::memcpy(dst, &clamped, 4);
-        return;
-      }
-      case DType::I16: {
-        const float r = std::nearbyintf(v);
-        const auto clamped = static_cast<std::int16_t>(
-            std::clamp(r, -32768.0f, 32767.0f));
-        std::memcpy(dst, &clamped, 2);
-        return;
-      }
-      case DType::I8: {
-        const float r = std::nearbyintf(v);
-        *reinterpret_cast<std::int8_t *>(dst) =
-            static_cast<std::int8_t>(std::clamp(r, -128.0f, 127.0f));
-        return;
-      }
-      case DType::U8: {
-        const float r = std::nearbyintf(v);
-        *dst = static_cast<std::uint8_t>(std::clamp(r, 0.0f, 255.0f));
-        return;
-      }
     }
-    dmx_panic("storeFromFloat: bad dtype");
+    visitDType(t, [=](auto c) {
+        constexpr std::size_t esz = dtype_bytes<c.value>;
+        for (std::size_t e = 0; e < n; ++e)
+            out[e] = loadAs<c.value>(src + e * esz);
+    });
+}
+
+void
+storeRun(std::uint8_t *dst, DType t, const float *in, std::size_t n)
+{
+    if (t == DType::F32) {
+        std::memcpy(dst, in, n * 4);
+        return;
+    }
+    visitDType(t, [=](auto c) {
+        constexpr std::size_t esz = dtype_bytes<c.value>;
+        for (std::size_t e = 0; e < n; ++e)
+            storeAs<c.value>(dst + e * esz, in[e]);
+    });
 }
 
 } // namespace dmx

@@ -579,8 +579,9 @@ planKernel(const Kernel &kernel, const DrxConfig &cfg)
 {
     CompiledKernel out;
     PlanSink machine{cfg, out};
+    const std::vector<BufferDesc> descs = kernel.stageDescs();
     out.in_desc = kernel.input;
-    out.out_desc = kernel.output();
+    out.out_desc = descs.back();
     out.input_addr = machine.alloc(kernel.input.bytes());
 
     const auto finalize = [&]() -> CompiledKernel & {
@@ -624,7 +625,7 @@ planKernel(const Kernel &kernel, const DrxConfig &cfg)
                 ++sj;
             }
         }
-        const BufferDesc next = kernel.descAfter(sj);
+        const BufferDesc &next = descs[sj];
         const std::uint64_t next_addr = machine.alloc(next.bytes());
 
         switch (st.op) {

@@ -56,6 +56,66 @@ gatherIndex(float v, std::uint64_t cap, const Program &program)
     return static_cast<std::uint64_t>(v);
 }
 
+/** Fatal: computing a @p what address overflowed 64 bits. */
+[[noreturn]] void
+addressOverflow(const char *what, const Program &program)
+{
+    dmx_fatal("DrxMachine: %s address overflows 64 bits (program '%s')",
+              what, program.name.c_str());
+}
+
+/**
+ * @return the element offset sum(stride[d] * idx[d]) of stream @p cfg;
+ * fatal if it overflows int64.
+ */
+std::int64_t
+elemOffset(const Instruction &cfg, const std::uint32_t idx[],
+           const char *what, const Program &program)
+{
+    std::int64_t off = 0;
+    for (unsigned d = 0; d < max_loop_dims; ++d) {
+        std::int64_t term;
+        if (__builtin_mul_overflow(cfg.stride[d],
+                                   static_cast<std::int64_t>(idx[d]),
+                                   &term) ||
+            __builtin_add_overflow(off, term, &off))
+            addressOverflow(what, program);
+    }
+    return off;
+}
+
+/** Byte range [addr, addr + len) of a stream access. */
+struct ByteSpan
+{
+    std::uint64_t addr;
+    std::uint64_t len;
+};
+
+/**
+ * @return the bytes of elements [@p first, @p last] of a stream based at
+ * @p base with @p esz-byte elements, plus @p tail bytes past element
+ * @p last. Fatal if @p first is negative or an address overflows.
+ */
+ByteSpan
+streamSpan(std::uint64_t base, std::int64_t first, std::int64_t last,
+           std::uint64_t esz, std::uint64_t tail, const char *what,
+           const Program &program)
+{
+    if (first < 0)
+        dmx_fatal("DrxMachine: %s out of range (program '%s')", what,
+                  program.name.c_str());
+    std::uint64_t lo, hi;
+    if (__builtin_mul_overflow(static_cast<std::uint64_t>(first), esz,
+                               &lo) ||
+        __builtin_add_overflow(lo, base, &lo) ||
+        __builtin_mul_overflow(static_cast<std::uint64_t>(last), esz,
+                               &hi) ||
+        __builtin_add_overflow(hi, base, &hi) ||
+        __builtin_add_overflow(hi, tail, &hi))
+        addressOverflow(what, program);
+    return {lo, hi - lo};
+}
+
 } // namespace
 
 DrxMachine::DrxMachine(DrxConfig cfg) : _cfg(cfg)
@@ -380,14 +440,6 @@ DrxMachine::run(const Program &program, Tick trace_base)
         _uops.push_back(u);
     }
 
-    auto elem_offset = [&](const StreamState &s, const std::uint32_t idx[3])
-        -> std::int64_t {
-        std::int64_t off = 0;
-        for (unsigned d = 0; d < max_loop_dims; ++d)
-            off += s.cfg.stride[d] * static_cast<std::int64_t>(idx[d]);
-        return off;
-    };
-
     std::uint32_t idx[max_loop_dims] = {0, 0, 0};
     for (idx[0] = 0; idx[0] < iters[0]; ++idx[0]) {
         for (idx[1] = 0; idx[1] < iters[1]; ++idx[1]) {
@@ -405,202 +457,72 @@ DrxMachine::run(const Program &program, Tick trace_base)
                     ++res.dyn_instructions;
 
                     switch (ins.op) {
-                      case Opcode::Load: {
+                      case Opcode::Load:
+                      case Opcode::Store: {
+                        const bool load = ins.op == Opcode::Load;
+                        const char *what = load ? "load" : "store";
                         StreamState &s = *u.stream;
-                        const std::size_t esz = u.esz;
-                        const std::int64_t off = elem_offset(s, idx);
+                        const std::uint64_t esz = u.esz;
                         const std::uint32_t run_len = u.run_len;
                         const std::uint32_t groups = u.groups;
                         auto &reg = regs[ins.reg];
-                        reg.resize(s.cfg.tile);
-                        for (std::uint32_t g = 0; g < groups; ++g) {
-                            const std::int64_t goff =
-                                off + (s.cfg.run_len
-                                           ? s.cfg.run_stride *
-                                                 static_cast<std::int64_t>(
-                                                     g)
-                                           : 0);
-                            const std::uint64_t addr =
-                                s.cfg.base +
-                                static_cast<std::uint64_t>(goff) * esz;
-                            const std::uint64_t bytes = run_len * esz;
-                            if (goff < 0)
-                                dmx_fatal("DrxMachine: load out of range "
-                                          "(program '%s')",
-                                          program.name.c_str());
-                            const std::uint8_t *src =
-                                dram(addr, bytes, "load", &program);
-                            if (s.cfg.dtype == DType::F32) {
-                                // loadAsFloat(F32) is a 4-byte memcpy;
-                                // the run is contiguous, so one bulk
-                                // copy is bit-identical.
-                                std::memcpy(reg.data() + g * run_len, src,
-                                            bytes);
-                            } else {
-                                // Dtype dispatch hoisted: each case is
-                                // the same conversion loadAsFloat
-                                // applies per element, as a dense loop.
-                                float *out = reg.data() + g * run_len;
-                                switch (s.cfg.dtype) {
-                                  case DType::F16:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        std::uint16_t h;
-                                        std::memcpy(&h, src + e * 2, 2);
-                                        out[e] = halfToFloat(h);
-                                    }
-                                    break;
-                                  case DType::I32:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        std::int32_t v;
-                                        std::memcpy(&v, src + e * 4, 4);
-                                        out[e] =
-                                            static_cast<float>(v);
-                                    }
-                                    break;
-                                  case DType::I16:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        std::int16_t v;
-                                        std::memcpy(&v, src + e * 2, 2);
-                                        out[e] =
-                                            static_cast<float>(v);
-                                    }
-                                    break;
-                                  case DType::I8:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e)
-                                        out[e] = static_cast<float>(
-                                            static_cast<std::int8_t>(
-                                                src[e]));
-                                    break;
-                                  default: // U8
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e)
-                                        out[e] = static_cast<float>(
-                                            src[e]);
-                                    break;
-                                }
-                            }
-                            res.mem_cycles += memCost(s, addr, bytes);
-                            res.bytes_read += bytes;
-                        }
-                        checkScratch(regs);
-                        res.compute_cycles += 1; // issue
-                        break;
-                      }
-                      case Opcode::Store: {
-                        StreamState &s = *u.stream;
-                        const std::size_t esz = u.esz;
-                        const std::int64_t off = elem_offset(s, idx);
-                        const auto &reg = regs[ins.reg];
-                        if (reg.size() != s.cfg.tile)
+                        if (load) {
+                            reg.resize(s.cfg.tile);
+                        } else if (reg.size() != s.cfg.tile) {
                             dmx_fatal("DrxMachine: store size mismatch "
                                       "(reg %zu vs tile %u, program '%s')",
                                       reg.size(), s.cfg.tile,
                                       program.name.c_str());
-                        const std::uint32_t run_len = u.run_len;
-                        const std::uint32_t groups = u.groups;
-                        for (std::uint32_t g = 0; g < groups; ++g) {
-                            const std::int64_t goff =
-                                off + (s.cfg.run_len
-                                           ? s.cfg.run_stride *
-                                                 static_cast<std::int64_t>(
-                                                     g)
-                                           : 0);
-                            const std::uint64_t addr =
-                                s.cfg.base +
-                                static_cast<std::uint64_t>(goff) * esz;
-                            const std::uint64_t bytes = run_len * esz;
-                            if (goff < 0)
-                                dmx_fatal("DrxMachine: store out of "
-                                          "range (program '%s')",
-                                          program.name.c_str());
-                            std::uint8_t *out =
-                                dram(addr, bytes, "store", &program);
-                            if (s.cfg.dtype == DType::F32) {
-                                // storeFromFloat(F32) is a 4-byte
-                                // memcpy; bulk-copy the whole run.
-                                std::memcpy(out, reg.data() + g * run_len,
-                                            bytes);
-                            } else {
-                                // Dtype dispatch hoisted; identical
-                                // rounding and saturation per element
-                                // as storeFromFloat.
-                                const float *in =
-                                    reg.data() + g * run_len;
-                                switch (s.cfg.dtype) {
-                                  case DType::F16:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        const std::uint16_t h =
-                                            floatToHalf(in[e]);
-                                        std::memcpy(out + e * 2, &h, 2);
-                                    }
-                                    break;
-                                  case DType::I32:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        const double r = std::nearbyint(
-                                            static_cast<double>(in[e]));
-                                        const auto clamped =
-                                            static_cast<std::int32_t>(
-                                                std::clamp(
-                                                    r, -2147483648.0,
-                                                    2147483647.0));
-                                        std::memcpy(out + e * 4,
-                                                    &clamped, 4);
-                                    }
-                                    break;
-                                  case DType::I16:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        const float r =
-                                            std::nearbyintf(in[e]);
-                                        const auto clamped =
-                                            static_cast<std::int16_t>(
-                                                std::clamp(r, -32768.0f,
-                                                           32767.0f));
-                                        std::memcpy(out + e * 2,
-                                                    &clamped, 2);
-                                    }
-                                    break;
-                                  case DType::I8:
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        const float r =
-                                            std::nearbyintf(in[e]);
-                                        out[e] = static_cast<
-                                            std::uint8_t>(
-                                            static_cast<std::int8_t>(
-                                                std::clamp(r, -128.0f,
-                                                           127.0f)));
-                                    }
-                                    break;
-                                  default: // U8
-                                    for (std::uint32_t e = 0;
-                                         e < run_len; ++e) {
-                                        const float r =
-                                            std::nearbyintf(in[e]);
-                                        out[e] = static_cast<
-                                            std::uint8_t>(
-                                            std::clamp(r, 0.0f,
-                                                       255.0f));
-                                    }
-                                    break;
-                                }
-                            }
-                            res.mem_cycles += memCost(s, addr, bytes);
-                            res.bytes_written += bytes;
                         }
-                        res.compute_cycles += 1;
+                        // Group g starts at element off + g * step:
+                        // affine in g, so the first and last groups
+                        // bound the tile's span, checked once.
+                        const std::int64_t off =
+                            elemOffset(s.cfg, idx, what, program);
+                        const std::int64_t step =
+                            s.cfg.run_len ? s.cfg.run_stride : 0;
+                        std::int64_t last;
+                        if (__builtin_mul_overflow(
+                                step, static_cast<std::int64_t>(groups - 1),
+                                &last) ||
+                            __builtin_add_overflow(off, last, &last))
+                            addressOverflow(what, program);
+                        const std::int64_t lo = std::min(off, last);
+                        const std::uint64_t bytes = run_len * esz;
+                        const ByteSpan span =
+                            streamSpan(s.cfg.base, lo, std::max(off, last),
+                                       esz, bytes, what, program);
+                        std::uint8_t *tile =
+                            dram(span.addr, span.len, what, &program);
+                        for (std::uint32_t g = 0; g < groups; ++g) {
+                            const std::uint64_t at =
+                                static_cast<std::uint64_t>(
+                                    off + step * static_cast<std::int64_t>(
+                                                     g) -
+                                    lo) *
+                                esz;
+                            float *elems = reg.data() + g * run_len;
+                            if (load)
+                                loadRun(tile + at, s.cfg.dtype, elems,
+                                        run_len);
+                            else
+                                storeRun(tile + at, s.cfg.dtype, elems,
+                                         run_len);
+                            res.mem_cycles +=
+                                memCost(s, span.addr + at, bytes);
+                            (load ? res.bytes_read : res.bytes_written) +=
+                                bytes;
+                        }
+                        if (load)
+                            checkScratch(regs);
+                        res.compute_cycles += 1; // issue
                         break;
                       }
                       case Opcode::Gather: {
                         StreamState &s = *u.stream;
-                        const std::size_t esz = u.esz;
-                        const std::int64_t off = elem_offset(s, idx);
+                        const std::uint64_t esz = u.esz;
+                        const std::int64_t off =
+                            elemOffset(s.cfg, idx, "gather", program);
                         const auto &idx_reg = regs[ins.src_b];
                         auto &dst = regs[ins.dst];
                         // Run-compressed mode: each index addresses a
@@ -608,105 +530,88 @@ DrxMachine::run(const Program &program, Tick trace_base)
                         const std::size_t expand =
                             ins.count > 1 ? ins.count : 1;
                         dst.resize(idx_reg.size() * expand);
+                        const std::uint64_t run_bytes = expand * esz;
+                        // Validate every index before any load; the
+                        // addresses are monotone in the index, so the
+                        // smallest and largest bound the span.
+                        std::uint64_t min_index = ~0ull, max_index = 0;
+                        for (const float v : idx_reg) {
+                            const std::uint64_t index =
+                                gatherIndex(v, _cfg.dram_bytes, program);
+                            min_index = std::min(min_index, index);
+                            max_index = std::max(max_index, index);
+                        }
+                        ByteSpan span{0, 0};
+                        const std::uint8_t *table = nullptr;
+                        if (!idx_reg.empty()) {
+                            std::int64_t first, last;
+                            if (__builtin_add_overflow(off, min_index,
+                                                       &first) ||
+                                __builtin_add_overflow(off, max_index,
+                                                       &last))
+                                addressOverflow("gather", program);
+                            span = streamSpan(s.cfg.base, first, last, esz,
+                                              run_bytes, "gather", program);
+                            table = dram(span.addr, span.len, "gather",
+                                         &program);
+                        }
+                        // Byte offset of index e's run inside the span.
+                        auto at = [&](std::size_t e) -> std::uint64_t {
+                            return (static_cast<std::uint64_t>(idx_reg[e]) -
+                                    min_index) *
+                                   esz;
+                        };
                         // Coalesce runs of consecutive indices: the
                         // Off-chip engine merges them into bursts.
                         std::uint64_t bytes = 0;
                         Cycles mem = 0;
-                        std::size_t run_start = 0;
                         std::uint64_t last_end = ~0ull;
-                        auto flush_run = [&](std::size_t upto) {
-                            if (upto == run_start)
-                                return;
-                            const std::uint64_t run_bytes =
-                                (upto - run_start) * esz;
-                            const std::uint64_t start_addr =
-                                s.cfg.base +
-                                (static_cast<std::uint64_t>(off) +
-                                 static_cast<std::uint64_t>(
-                                     idx_reg[run_start])) *
-                                    esz;
+                        auto charge = [&](std::uint64_t addr,
+                                          std::uint64_t len) {
                             std::uint64_t charged;
-                            if (start_addr == last_end) {
-                                charged = run_bytes;
+                            if (addr == last_end) {
+                                charged = len;
                             } else if (last_end != ~0ull &&
-                                       start_addr > last_end &&
-                                       start_addr - last_end <=
+                                       addr > last_end &&
+                                       addr - last_end <=
                                            _cfg.min_burst_bytes) {
-                                charged = (start_addr - last_end) +
-                                          run_bytes;
+                                charged = (addr - last_end) + len;
                             } else {
                                 charged = std::max<std::uint64_t>(
-                                    run_bytes, _cfg.min_burst_bytes);
+                                    len, _cfg.min_burst_bytes);
                             }
-                            last_end = start_addr + run_bytes;
+                            last_end = addr + len;
                             mem += static_cast<Cycles>(std::ceil(
                                 static_cast<double>(charged) /
                                 _cfg.dramBytesPerCycle()));
-                            bytes += run_bytes;
+                            bytes += len;
                         };
                         if (expand > 1) {
                             // One DMA descriptor per index.
-                            for (std::size_t e = 0; e < idx_reg.size();
-                                 ++e) {
-                                const std::uint64_t index =
-                                    gatherIndex(idx_reg[e], _cfg.dram_bytes,
-                                                program);
-                                const std::uint64_t addr =
-                                    s.cfg.base +
-                                    (static_cast<std::uint64_t>(off) +
-                                     index) *
-                                        esz;
-                                const std::uint64_t run_bytes =
-                                    expand * esz;
-                                const std::uint8_t *src = dram(
-                                    addr, run_bytes, "gather", &program);
-                                for (std::size_t k = 0; k < expand; ++k)
-                                    dst[e * expand + k] = loadAsFloat(
-                                        src + k * esz, s.cfg.dtype);
-                                std::uint64_t charged;
-                                if (addr == last_end) {
-                                    charged = run_bytes;
-                                } else if (last_end != ~0ull &&
-                                           addr > last_end &&
-                                           addr - last_end <=
-                                               _cfg.min_burst_bytes) {
-                                    charged =
-                                        (addr - last_end) + run_bytes;
-                                } else {
-                                    charged = std::max<std::uint64_t>(
-                                        run_bytes,
-                                        _cfg.min_burst_bytes);
-                                }
-                                last_end = addr + run_bytes;
-                                mem += static_cast<Cycles>(std::ceil(
-                                    static_cast<double>(charged) /
-                                    _cfg.dramBytesPerCycle()));
-                                bytes += run_bytes;
-                            }
+                            for (std::size_t e = 0; e < idx_reg.size(); ++e)
+                                charge(span.addr + at(e), run_bytes);
                         } else {
-                            std::uint64_t prev_index = 0;
-                            for (std::size_t e = 0; e < idx_reg.size();
+                            std::size_t run_start = 0;
+                            for (std::size_t e = 1; e <= idx_reg.size();
                                  ++e) {
-                                const std::uint64_t index =
-                                    gatherIndex(idx_reg[e], _cfg.dram_bytes,
-                                                program);
-                                const std::uint64_t addr =
-                                    s.cfg.base +
-                                    (static_cast<std::uint64_t>(off) +
-                                     index) *
-                                        esz;
-                                dst[e] = loadAsFloat(
-                                    dram(addr, esz, "gather", &program),
-                                    s.cfg.dtype);
-                                if (e > run_start &&
-                                    prev_index + 1 != index) {
-                                    flush_run(e);
+                                if (e == idx_reg.size() ||
+                                    at(e - 1) + esz != at(e)) {
+                                    charge(span.addr + at(run_start),
+                                           (e - run_start) * esz);
                                     run_start = e;
                                 }
-                                prev_index = index;
                             }
-                            flush_run(idx_reg.size());
                         }
+                        // Loads last: with one element per index, dst
+                        // may be the index register itself.
+                        visitDType(s.cfg.dtype, [&](auto c) {
+                            for (std::size_t e = 0; e < idx_reg.size(); ++e) {
+                                const std::uint8_t *src = table + at(e);
+                                for (std::size_t k = 0; k < expand; ++k)
+                                    dst[e * expand + k] =
+                                        loadAs<c.value>(src + k * esz);
+                            }
+                        });
                         checkScratch(regs);
                         res.mem_cycles += mem;
                         res.bytes_read += bytes;

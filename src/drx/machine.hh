@@ -23,9 +23,15 @@
  *
  * The interpreter hoists the VFunc/dtype dispatch out of its element
  * loops, so each op is a dense, branch-free loop the compiler can
- * autovectorize across the RE lanes. No expression is reassociated
- * (reductions stay sequential); tests/test_core_equiv.cc checks the
- * outputs byte-for-byte against restructure::executeOnCpu.
+ * autovectorize across the RE lanes. Element conversions are the
+ * shared converters of common/dtype.hh (run forms for Load/Store). No
+ * expression is reassociated (reductions stay sequential);
+ * tests/test_core_equiv.cc checks the outputs byte-for-byte against
+ * restructure::executeOnCpu.
+ *
+ * Stream addresses are computed with overflow-checked arithmetic (an
+ * overflow is fatal, never a wrap), and each Load/Store tile and each
+ * Gather is range-checked once over its whole byte span.
  */
 
 #ifndef DMX_DRX_MACHINE_HH

@@ -1,10 +1,16 @@
 /**
  * @file
- * Scalar CPU reference executor for restructuring kernels.
+ * CPU reference executor for restructuring kernels.
  *
  * This is both the correctness oracle for the DRX (the DRX machine must
  * produce byte-identical results) and the source of the host address
  * stream used by the Figure-5 characterization (via MemTracer).
+ *
+ * Untraced, each stage hoists the dtype dispatch out of its element
+ * loop (typed loops and run forms over the shared converters of
+ * common/dtype.hh). With a MemTracer, every element goes through a
+ * per-element loop that reports each access in order. Both paths
+ * produce the same bytes and OpCount.
  */
 
 #ifndef DMX_RESTRUCTURE_CPU_EXEC_HH

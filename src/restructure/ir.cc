@@ -33,6 +33,88 @@ BufferDesc::rows() const
     return n;
 }
 
+namespace
+{
+
+/**
+ * Apply stage @p i of @p k to @p desc: the shape and type after it.
+ * @throws via fatal on shape/type inconsistencies
+ */
+void
+inferStage(const Kernel &k, std::size_t i, BufferDesc &desc)
+{
+    const Stage &st = k.stages[i];
+    switch (st.op) {
+      case StageOp::Map:
+        if (st.steps.empty())
+            dmx_fatal("Kernel '%s' stage %zu: empty Map", k.name.c_str(),
+                      i);
+        break;
+      case StageOp::Cast:
+        desc.dtype = st.to;
+        break;
+      case StageOp::Transpose2D: {
+        if (desc.shape.size() < 2)
+            dmx_fatal("Kernel '%s' stage %zu: Transpose2D needs rank>=2",
+                      k.name.c_str(), i);
+        std::swap(desc.shape[desc.shape.size() - 1],
+                  desc.shape[desc.shape.size() - 2]);
+        break;
+      }
+      case StageOp::MatVec:
+        if (!st.weights || st.weights->size() != st.mat_rows * st.mat_cols)
+            dmx_fatal("Kernel '%s' stage %zu: bad MatVec weights",
+                      k.name.c_str(), i);
+        if (desc.inner() != st.mat_cols)
+            dmx_fatal("Kernel '%s' stage %zu: MatVec cols %zu != inner %zu",
+                      k.name.c_str(), i, st.mat_cols, desc.inner());
+        desc.shape.back() = st.mat_rows;
+        desc.dtype = DType::F32;
+        break;
+      case StageOp::Gather: {
+        if (!st.indices || st.out_shape.empty())
+            dmx_fatal("Kernel '%s' stage %zu: bad Gather", k.name.c_str(),
+                      i);
+        std::size_t out_elems = 1;
+        for (std::size_t d : st.out_shape)
+            out_elems *= d;
+        if (st.indices->size() != out_elems)
+            dmx_fatal("Kernel '%s' stage %zu: Gather index count %zu != "
+                      "out elems %zu",
+                      k.name.c_str(), i, st.indices->size(), out_elems);
+        const std::size_t in_elems = desc.elems();
+        for (std::uint32_t idx : *st.indices) {
+            if (idx >= in_elems)
+                dmx_fatal("Kernel '%s' stage %zu: Gather index %u out of "
+                          "range %zu",
+                          k.name.c_str(), i, idx, in_elems);
+        }
+        desc.shape = st.out_shape;
+        break;
+      }
+      case StageOp::Magnitude:
+        if (desc.inner() % 2 != 0)
+            dmx_fatal("Kernel '%s' stage %zu: Magnitude needs even inner "
+                      "dim",
+                      k.name.c_str(), i);
+        desc.shape.back() = desc.inner() / 2;
+        desc.dtype = DType::F32;
+        break;
+      case StageOp::Reduce:
+        desc.shape.back() = 1;
+        desc.dtype = DType::F32;
+        break;
+      case StageOp::Pad:
+        if (st.pad_to < desc.inner())
+            dmx_fatal("Kernel '%s' stage %zu: Pad %zu below inner %zu",
+                      k.name.c_str(), i, st.pad_to, desc.inner());
+        desc.shape.back() = st.pad_to;
+        break;
+    }
+}
+
+} // namespace
+
 BufferDesc
 Kernel::descAfter(std::size_t upto) const
 {
@@ -40,78 +122,22 @@ Kernel::descAfter(std::size_t upto) const
         dmx_fatal("Kernel '%s': descAfter(%zu) beyond %zu stages",
                   name.c_str(), upto, stages.size());
     BufferDesc desc = input;
-    for (std::size_t i = 0; i < upto; ++i) {
-        const Stage &st = stages[i];
-        switch (st.op) {
-          case StageOp::Map:
-            if (st.steps.empty())
-                dmx_fatal("Kernel '%s' stage %zu: empty Map",
-                          name.c_str(), i);
-            break;
-          case StageOp::Cast:
-            desc.dtype = st.to;
-            break;
-          case StageOp::Transpose2D: {
-            if (desc.shape.size() < 2)
-                dmx_fatal("Kernel '%s' stage %zu: Transpose2D needs rank>=2",
-                          name.c_str(), i);
-            std::swap(desc.shape[desc.shape.size() - 1],
-                      desc.shape[desc.shape.size() - 2]);
-            break;
-          }
-          case StageOp::MatVec:
-            if (!st.weights ||
-                st.weights->size() != st.mat_rows * st.mat_cols)
-                dmx_fatal("Kernel '%s' stage %zu: bad MatVec weights",
-                          name.c_str(), i);
-            if (desc.inner() != st.mat_cols)
-                dmx_fatal("Kernel '%s' stage %zu: MatVec cols %zu != "
-                          "inner %zu",
-                          name.c_str(), i, st.mat_cols, desc.inner());
-            desc.shape.back() = st.mat_rows;
-            desc.dtype = DType::F32;
-            break;
-          case StageOp::Gather: {
-            if (!st.indices || st.out_shape.empty())
-                dmx_fatal("Kernel '%s' stage %zu: bad Gather",
-                          name.c_str(), i);
-            std::size_t out_elems = 1;
-            for (std::size_t d : st.out_shape)
-                out_elems *= d;
-            if (st.indices->size() != out_elems)
-                dmx_fatal("Kernel '%s' stage %zu: Gather index count %zu "
-                          "!= out elems %zu",
-                          name.c_str(), i, st.indices->size(), out_elems);
-            for (std::uint32_t idx : *st.indices) {
-                if (idx >= desc.elems())
-                    dmx_fatal("Kernel '%s' stage %zu: Gather index %u out "
-                              "of range %zu",
-                              name.c_str(), i, idx, desc.elems());
-            }
-            desc.shape = st.out_shape;
-            break;
-          }
-          case StageOp::Magnitude:
-            if (desc.inner() % 2 != 0)
-                dmx_fatal("Kernel '%s' stage %zu: Magnitude needs even "
-                          "inner dim",
-                          name.c_str(), i);
-            desc.shape.back() = desc.inner() / 2;
-            desc.dtype = DType::F32;
-            break;
-          case StageOp::Reduce:
-            desc.shape.back() = 1;
-            desc.dtype = DType::F32;
-            break;
-          case StageOp::Pad:
-            if (st.pad_to < desc.inner())
-                dmx_fatal("Kernel '%s' stage %zu: Pad %zu below inner %zu",
-                          name.c_str(), i, st.pad_to, desc.inner());
-            desc.shape.back() = st.pad_to;
-            break;
-        }
-    }
+    for (std::size_t i = 0; i < upto; ++i)
+        inferStage(*this, i, desc);
     return desc;
+}
+
+std::vector<BufferDesc>
+Kernel::stageDescs() const
+{
+    std::vector<BufferDesc> descs;
+    descs.reserve(stages.size() + 1);
+    descs.push_back(input);
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        descs.push_back(descs.back());
+        inferStage(*this, i, descs.back());
+    }
+    return descs;
 }
 
 Stage

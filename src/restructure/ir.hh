@@ -120,6 +120,14 @@ struct Kernel
      */
     BufferDesc descAfter(std::size_t upto) const;
 
+    /**
+     * Infer every stage's descriptor in one pass: element i equals
+     * descAfter(i), for i = 0 (the input) up to stages.size() (the
+     * output). Each Gather index is validated once.
+     * @throws via fatal on shape/type inconsistencies
+     */
+    std::vector<BufferDesc> stageDescs() const;
+
     /** @return descriptor of the kernel output. */
     BufferDesc output() const { return descAfter(stages.size()); }
 };

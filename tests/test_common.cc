@@ -1,14 +1,19 @@
 /**
  * @file
- * Unit tests for src/common: logging, stats, units, RNG, strings, table.
+ * Unit tests for src/common: logging, stats, units, RNG, strings, table,
+ * and the element-type converters.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
+#include "common/dtype.hh"
 #include "common/logging.hh"
 #include "common/percentile.hh"
 #include "common/random.hh"
@@ -380,4 +385,456 @@ TEST(Percentile, SummaryMeanSumsInSampleOrderAndPinsTriple)
     EXPECT_EQ(empty.count, 0u);
     EXPECT_EQ(empty.mean_ms, 0);
     EXPECT_EQ(empty.p999_ms, 0);
+}
+
+// ------------------------------------------------------------------
+// Element-type converters: the typed element form (loadAs / storeAs via
+// visitDType), the run form (loadRun / storeRun) and the runtime-typed
+// loadAsFloat / storeFromFloat are one definition and must agree with
+// a hand-computed table and with the per-element reference below.
+
+namespace
+{
+
+float
+fromBits(std::uint32_t b)
+{
+    float f;
+    std::memcpy(&f, &b, 4);
+    return f;
+}
+
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t b;
+    std::memcpy(&b, &f, 4);
+    return b;
+}
+
+using ByteVec = std::vector<std::uint8_t>;
+
+constexpr DType all_dtypes[] = {DType::F32, DType::F16, DType::I32,
+                                DType::I16, DType::I8,  DType::U8};
+
+const float inf = fromBits(0x7f800000);
+const float qnan = fromBits(0x7fc00000);
+
+/** One narrowing: storing v as t gives bytes (little-endian). */
+struct StoreCase
+{
+    DType t;
+    float v;
+    ByteVec bytes;
+};
+
+/** One widening: the element bytes of type t read as the float bits. */
+struct LoadCase
+{
+    DType t;
+    ByteVec bytes;
+    std::uint32_t bits;
+};
+
+// Expected bytes worked out by hand from IEEE-754 binary16/32 and
+// round-half-to-even, not from the code under test.
+const std::vector<StoreCase> store_table{
+    {DType::F32, 1.0f, {0x00, 0x00, 0x80, 0x3f}},
+    {DType::F32, -0.0f, {0x00, 0x00, 0x00, 0x80}},
+    {DType::F32, inf, {0x00, 0x00, 0x80, 0x7f}},
+    {DType::F32, fromBits(0x7fc00001), {0x01, 0x00, 0xc0, 0x7f}},
+    {DType::F32, fromBits(0x00000001), {0x01, 0x00, 0x00, 0x00}},
+
+    {DType::F16, 0.0f, {0x00, 0x00}},
+    {DType::F16, -0.0f, {0x00, 0x80}},
+    {DType::F16, 1.0f, {0x00, 0x3c}},
+    {DType::F16, -2.0f, {0x00, 0xc0}},
+    {DType::F16, inf, {0x00, 0x7c}},
+    {DType::F16, -inf, {0x00, 0xfc}},
+    {DType::F16, qnan, {0x00, 0x7e}},
+    {DType::F16, fromBits(0xffc00000), {0x00, 0xfe}},
+    {DType::F16, 65504.0f, {0xff, 0x7b}},  // max finite
+    {DType::F16, 65519.0f, {0xff, 0x7b}},  // below the 65520 midpoint
+    {DType::F16, 65520.0f, {0xff, 0x7b}},  // midpoint: saturates
+    {DType::F16, -1e9f, {0xff, 0xfb}},     // saturates
+    {DType::F16, 0x1p-24f, {0x01, 0x00}},  // smallest subnormal
+    {DType::F16, 0x1p-25f, {0x00, 0x00}},  // tie to even: 0
+    {DType::F16, 0x3p-25f, {0x02, 0x00}},  // tie to even: 2
+    {DType::F16, 0x3ffp-24f, {0xff, 0x03}}, // largest subnormal
+    {DType::F16, 0x1p-14f, {0x00, 0x04}},  // smallest normal
+    {DType::F16, 2049.0f, {0x00, 0x68}},   // tie to even: 2048
+    {DType::F16, 2051.0f, {0x02, 0x68}},   // tie to even: 2052
+
+    {DType::I32, -0.0f, {0x00, 0x00, 0x00, 0x00}},
+    {DType::I32, 0.5f, {0x00, 0x00, 0x00, 0x00}},
+    {DType::I32, 1.5f, {0x02, 0x00, 0x00, 0x00}},
+    {DType::I32, 2.5f, {0x02, 0x00, 0x00, 0x00}},
+    {DType::I32, -0.5f, {0x00, 0x00, 0x00, 0x00}},
+    {DType::I32, -1.5f, {0xfe, 0xff, 0xff, 0xff}},
+    {DType::I32, -2.5f, {0xfe, 0xff, 0xff, 0xff}},
+    {DType::I32, 8388606.5f, {0xfe, 0xff, 0x7f, 0x00}},
+    {DType::I32, 8388607.5f, {0x00, 0x00, 0x80, 0x00}},
+    {DType::I32, 2147483520.0f, {0x80, 0xff, 0xff, 0x7f}}, // 2^31 - 128
+    {DType::I32, 2147483648.0f, {0xff, 0xff, 0xff, 0x7f}}, // 2^31
+    {DType::I32, -2147483648.0f, {0x00, 0x00, 0x00, 0x80}},
+    {DType::I32, -2147483904.0f, {0x00, 0x00, 0x00, 0x80}},
+    {DType::I32, inf, {0xff, 0xff, 0xff, 0x7f}},
+    {DType::I32, -inf, {0x00, 0x00, 0x00, 0x80}},
+    {DType::I32, qnan, {0x00, 0x00, 0x00, 0x00}},
+
+    {DType::I16, 0.5f, {0x00, 0x00}},
+    {DType::I16, 1.5f, {0x02, 0x00}},
+    {DType::I16, 2.5f, {0x02, 0x00}},
+    {DType::I16, -1.5f, {0xfe, 0xff}},
+    {DType::I16, 32767.0f, {0xff, 0x7f}},
+    {DType::I16, 32766.5f, {0xfe, 0x7f}},
+    {DType::I16, 32767.5f, {0xff, 0x7f}}, // 32768, saturated
+    {DType::I16, 32768.0f, {0xff, 0x7f}},
+    {DType::I16, -32768.0f, {0x00, 0x80}},
+    {DType::I16, -32766.5f, {0x02, 0x80}},
+    {DType::I16, -32767.5f, {0x00, 0x80}},
+    {DType::I16, -32768.5f, {0x00, 0x80}},
+    {DType::I16, -32769.0f, {0x00, 0x80}},
+    {DType::I16, inf, {0xff, 0x7f}},
+    {DType::I16, -inf, {0x00, 0x80}},
+    {DType::I16, qnan, {0x00, 0x00}},
+
+    {DType::I8, 0.5f, {0x00}},
+    {DType::I8, 1.5f, {0x02}},
+    {DType::I8, -1.5f, {0xfe}},
+    {DType::I8, -2.5f, {0xfe}},
+    {DType::I8, 127.0f, {0x7f}},
+    {DType::I8, 126.5f, {0x7e}},
+    {DType::I8, 127.5f, {0x7f}}, // 128, saturated
+    {DType::I8, 128.0f, {0x7f}},
+    {DType::I8, -128.0f, {0x80}},
+    {DType::I8, -126.5f, {0x82}},
+    {DType::I8, -127.5f, {0x80}},
+    {DType::I8, -128.5f, {0x80}},
+    {DType::I8, -129.0f, {0x80}},
+    {DType::I8, inf, {0x7f}},
+    {DType::I8, -inf, {0x80}},
+    {DType::I8, qnan, {0x00}},
+
+    {DType::U8, -0.0f, {0x00}},
+    {DType::U8, 0.5f, {0x00}},
+    {DType::U8, 1.5f, {0x02}},
+    {DType::U8, 2.5f, {0x02}},
+    {DType::U8, -0.5f, {0x00}},
+    {DType::U8, -1.0f, {0x00}},
+    {DType::U8, 255.0f, {0xff}},
+    {DType::U8, 254.5f, {0xfe}},
+    {DType::U8, 255.5f, {0xff}}, // 256, saturated
+    {DType::U8, 256.0f, {0xff}},
+    {DType::U8, inf, {0xff}},
+    {DType::U8, -inf, {0x00}},
+    {DType::U8, qnan, {0x00}},
+};
+
+const std::vector<LoadCase> load_table{
+    {DType::F32, {0x00, 0x00, 0xc0, 0x7f}, 0x7fc00000},
+    {DType::F32, {0x01, 0x00, 0x00, 0x00}, 0x00000001},
+    {DType::F32, {0x00, 0x00, 0x80, 0xff}, 0xff800000},
+
+    {DType::F16, {0x00, 0x80}, 0x80000000},
+    {DType::F16, {0x00, 0x3c}, 0x3f800000},
+    {DType::F16, {0x01, 0x00}, 0x33800000}, // 2^-24
+    {DType::F16, {0xff, 0x03}, 0x387fc000}, // 1023 * 2^-24
+    {DType::F16, {0x00, 0x04}, 0x38800000}, // 2^-14
+    {DType::F16, {0xff, 0x7b}, 0x477fe000}, // 65504
+    {DType::F16, {0x00, 0x7c}, 0x7f800000},
+    {DType::F16, {0x00, 0xfc}, 0xff800000},
+    {DType::F16, {0x00, 0x7e}, 0x7fc00000},
+
+    {DType::I32, {0xff, 0xff, 0xff, 0x7f}, 0x4f000000}, // rounds to 2^31
+    {DType::I32, {0x00, 0x00, 0x00, 0x80}, 0xcf000000},
+    {DType::I32, {0x01, 0x00, 0x00, 0x01}, 0x4b800000}, // 2^24+1: tie, even
+    {DType::I32, {0x03, 0x00, 0x00, 0x01}, 0x4b800002}, // 2^24+3: tie, even
+
+    {DType::I16, {0xff, 0x7f}, 0x46fffe00},
+    {DType::I16, {0x00, 0x80}, 0xc7000000},
+
+    {DType::I8, {0x7f}, 0x42fe0000},
+    {DType::I8, {0x80}, 0xc3000000},
+    {DType::I8, {0xff}, 0xbf800000},
+
+    {DType::U8, {0x00}, 0x00000000},
+    {DType::U8, {0x80}, 0x43000000},
+    {DType::U8, {0xff}, 0x437f0000},
+};
+
+ByteVec
+storeElement(DType t, float v)
+{
+    ByteVec out(dtypeSize(t));
+    visitDType(t, [&](auto c) { storeAs<c.value>(out.data(), v); });
+    return out;
+}
+
+float
+loadElement(DType t, const std::uint8_t *src)
+{
+    return visitDType(t, [src](auto c) { return loadAs<c.value>(src); });
+}
+
+// Per-element conversion as the converters' first implementation wrote
+// it, kept as an independent reference.
+
+std::uint16_t
+refFloatToHalf(float v)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, 4);
+    const std::uint16_t sign = static_cast<std::uint16_t>((bits >> 16) &
+                                                          0x8000);
+    const std::int32_t exp = static_cast<std::int32_t>((bits >> 23) &
+                                                       0xff) - 127 + 15;
+    std::uint32_t mant = bits & 0x7fffff;
+    if (((bits >> 23) & 0xff) == 0xff)
+        return static_cast<std::uint16_t>(sign | 0x7c00 |
+                                          (mant ? 0x200 : 0));
+    if (exp >= 0x1f)
+        return static_cast<std::uint16_t>(sign | 0x7bff);
+    if (exp <= 0) {
+        if (exp < -10)
+            return sign;
+        mant |= 0x800000;
+        const int shift = 14 - exp;
+        std::uint32_t half_mant = mant >> shift;
+        const std::uint32_t rem = mant & ((1u << shift) - 1);
+        const std::uint32_t halfway = 1u << (shift - 1);
+        if (rem > halfway || (rem == halfway && (half_mant & 1)))
+            ++half_mant;
+        return static_cast<std::uint16_t>(sign | half_mant);
+    }
+    std::uint32_t half_mant = mant >> 13;
+    const std::uint32_t rem = mant & 0x1fff;
+    if (rem > 0x1000 || (rem == 0x1000 && (half_mant & 1))) {
+        ++half_mant;
+        if (half_mant == 0x400) {
+            half_mant = 0;
+            if (exp + 1 >= 0x1f)
+                return static_cast<std::uint16_t>(sign | 0x7bff);
+            return static_cast<std::uint16_t>(sign | ((exp + 1) << 10));
+        }
+    }
+    return static_cast<std::uint16_t>(sign | (exp << 10) | half_mant);
+}
+
+float
+refHalfToFloat(std::uint16_t h)
+{
+    const std::uint32_t sign = (h & 0x8000u) << 16;
+    const std::uint32_t exp = (h >> 10) & 0x1f;
+    const std::uint32_t mant = h & 0x3ff;
+    std::uint32_t bits;
+    if (exp == 0) {
+        if (mant == 0) {
+            bits = sign;
+        } else {
+            int e = -1;
+            std::uint32_t m = mant;
+            do {
+                ++e;
+                m <<= 1;
+            } while (!(m & 0x400));
+            bits = sign | static_cast<std::uint32_t>(127 - 15 - e) << 23 |
+                   ((m & 0x3ff) << 13);
+        }
+    } else if (exp == 0x1f) {
+        bits = sign | 0x7f800000 | (mant << 13);
+    } else {
+        bits = sign | ((exp - 15 + 127) << 23) | (mant << 13);
+    }
+    return fromBits(bits);
+}
+
+float
+refLoad(const std::uint8_t *src, DType t)
+{
+    switch (t) {
+      case DType::F32: {
+        float v;
+        std::memcpy(&v, src, 4);
+        return v;
+      }
+      case DType::F16: {
+        std::uint16_t h;
+        std::memcpy(&h, src, 2);
+        return refHalfToFloat(h);
+      }
+      case DType::I32: {
+        std::int32_t v;
+        std::memcpy(&v, src, 4);
+        return static_cast<float>(v);
+      }
+      case DType::I16: {
+        std::int16_t v;
+        std::memcpy(&v, src, 2);
+        return static_cast<float>(v);
+      }
+      case DType::I8:
+        return static_cast<float>(*reinterpret_cast<const std::int8_t *>(
+            src));
+      case DType::U8:
+        return static_cast<float>(*src);
+    }
+    return 0.0f;
+}
+
+/** Not defined for NaN into an integer type (the cast is undefined). */
+void
+refStore(std::uint8_t *dst, DType t, float v)
+{
+    switch (t) {
+      case DType::F32:
+        std::memcpy(dst, &v, 4);
+        return;
+      case DType::F16: {
+        const std::uint16_t h = refFloatToHalf(v);
+        std::memcpy(dst, &h, 2);
+        return;
+      }
+      case DType::I32: {
+        const double r = std::nearbyint(static_cast<double>(v));
+        const auto clamped = static_cast<std::int32_t>(
+            std::clamp(r, -2147483648.0, 2147483647.0));
+        std::memcpy(dst, &clamped, 4);
+        return;
+      }
+      case DType::I16: {
+        const float r = std::nearbyintf(v);
+        const auto clamped = static_cast<std::int16_t>(
+            std::clamp(r, -32768.0f, 32767.0f));
+        std::memcpy(dst, &clamped, 2);
+        return;
+      }
+      case DType::I8: {
+        const float r = std::nearbyintf(v);
+        *reinterpret_cast<std::int8_t *>(dst) =
+            static_cast<std::int8_t>(std::clamp(r, -128.0f, 127.0f));
+        return;
+      }
+      case DType::U8: {
+        const float r = std::nearbyintf(v);
+        *dst = static_cast<std::uint8_t>(std::clamp(r, 0.0f, 255.0f));
+        return;
+      }
+    }
+}
+
+} // namespace
+
+TEST(DtypeConverters, StoresMatchHandComputedTable)
+{
+    for (const DType t : all_dtypes) {
+        std::vector<float> vals;
+        ByteVec expect;
+        for (const StoreCase &c : store_table) {
+            if (c.t != t)
+                continue;
+            ASSERT_EQ(c.bytes.size(), dtypeSize(t));
+            const std::uint32_t vb = bitsOf(c.v);
+            EXPECT_EQ(storeElement(t, c.v), c.bytes)
+                << dtypeName(t) << " typed store of 0x" << std::hex << vb;
+            ByteVec rt(dtypeSize(t));
+            storeFromFloat(rt.data(), t, c.v);
+            EXPECT_EQ(rt, c.bytes)
+                << dtypeName(t) << " storeFromFloat of 0x" << std::hex << vb;
+            vals.push_back(c.v);
+            expect.insert(expect.end(), c.bytes.begin(), c.bytes.end());
+        }
+        ASSERT_FALSE(vals.empty()) << dtypeName(t);
+        ByteVec run(expect.size(), 0xab);
+        storeRun(run.data(), t, vals.data(), vals.size());
+        EXPECT_EQ(run, expect) << dtypeName(t) << " storeRun";
+    }
+}
+
+TEST(DtypeConverters, LoadsMatchHandComputedTable)
+{
+    for (const DType t : all_dtypes) {
+        ByteVec src;
+        std::vector<std::uint32_t> expect;
+        for (const LoadCase &c : load_table) {
+            if (c.t != t)
+                continue;
+            ASSERT_EQ(c.bytes.size(), dtypeSize(t));
+            EXPECT_EQ(bitsOf(loadElement(t, c.bytes.data())), c.bits)
+                << dtypeName(t) << " typed load";
+            EXPECT_EQ(bitsOf(loadAsFloat(c.bytes.data(), t)), c.bits)
+                << dtypeName(t) << " loadAsFloat";
+            src.insert(src.end(), c.bytes.begin(), c.bytes.end());
+            expect.push_back(c.bits);
+        }
+        ASSERT_FALSE(expect.empty()) << dtypeName(t);
+        std::vector<float> run(expect.size());
+        loadRun(src.data(), t, run.data(), run.size());
+        for (std::size_t i = 0; i < run.size(); ++i)
+            EXPECT_EQ(bitsOf(run[i]), expect[i]) << dtypeName(t) << " loadRun";
+    }
+}
+
+TEST(DtypeConverters, NaNNarrowsToZeroForEveryIntegerType)
+{
+    // Casting NaN to an integer is undefined behaviour; the converter
+    // defines it as 0 (x86 happened to give 0 for the 8- and 16-bit
+    // types and INT_MIN for I32).
+    const float nans[] = {qnan, fromBits(0xffc00000), fromBits(0x7f800001),
+                          fromBits(0xffffffff)};
+    for (const DType t : {DType::I32, DType::I16, DType::I8, DType::U8}) {
+        const ByteVec zero(dtypeSize(t), 0);
+        for (const float v : nans) {
+            ByteVec rt(dtypeSize(t), 0xab);
+            storeFromFloat(rt.data(), t, v);
+            EXPECT_EQ(rt, zero) << dtypeName(t) << " 0x" << std::hex
+                                << bitsOf(v);
+            EXPECT_EQ(storeElement(t, v), zero) << dtypeName(t);
+        }
+        ByteVec run(dtypeSize(t) * 4, 0xab);
+        storeRun(run.data(), t, nans, 4);
+        EXPECT_EQ(run, ByteVec(run.size(), 0)) << dtypeName(t);
+    }
+}
+
+TEST(DtypeConverters, RandomBitPatternsMatchPerElementReference)
+{
+    constexpr std::size_t n = 10000;
+    Rng rng(2024);
+    for (const DType t : all_dtypes) {
+        const std::size_t esz = dtypeSize(t);
+        const bool integer = t != DType::F32 && t != DType::F16;
+
+        // Narrowing: random float bit patterns (subnormals, infinities
+        // and, for the float types, NaNs included).
+        std::vector<float> vals;
+        while (vals.size() < n) {
+            const float v = fromBits(static_cast<std::uint32_t>(rng.next()));
+            if (!(integer && std::isnan(v)))
+                vals.push_back(v);
+        }
+        ByteVec ref(n * esz), elem(n * esz), run(n * esz);
+        for (std::size_t i = 0; i < n; ++i) {
+            refStore(ref.data() + i * esz, t, vals[i]);
+            const ByteVec b = storeElement(t, vals[i]);
+            std::copy(b.begin(), b.end(), elem.begin() + i * esz);
+        }
+        storeRun(run.data(), t, vals.data(), n);
+        EXPECT_EQ(elem, ref) << dtypeName(t) << " typed store";
+        EXPECT_EQ(run, ref) << dtypeName(t) << " storeRun";
+
+        // Widening: random element bytes.
+        ByteVec src(n * esz);
+        for (std::uint8_t &b : src)
+            b = static_cast<std::uint8_t>(rng.next());
+        std::vector<float> widened(n);
+        loadRun(src.data(), t, widened.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t want = bitsOf(refLoad(src.data() + i * esz, t));
+            ASSERT_EQ(bitsOf(loadElement(t, src.data() + i * esz)), want)
+                << dtypeName(t) << " typed load, element " << i;
+            ASSERT_EQ(bitsOf(widened[i]), want)
+                << dtypeName(t) << " loadRun, element " << i;
+        }
+    }
 }

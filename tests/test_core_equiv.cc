@@ -772,6 +772,211 @@ TEST(DrxOracle, RandomShapeCatalogKernelsMatchCpuExecutor)
 }
 
 // ------------------------------------------------------------------
+// 4b. CPU oracle: typed stage loops vs the traced per-element path
+
+namespace
+{
+
+/** Observes nothing; passing it selects the traced per-element path. */
+struct NullTracer : restructure::MemTracer
+{
+    void read(std::uint64_t, std::size_t) override {}
+    void write(std::uint64_t, std::size_t) override {}
+    void retire(std::uint64_t, std::size_t) override {}
+};
+
+/** Untraced and traced executeOnCpu agree on bytes and OpCount. */
+void
+expectTypedMatchesTraced(const restructure::Kernel &k,
+                         const restructure::Bytes &input,
+                         const std::string &what)
+{
+    NullTracer tracer;
+    kernels::OpCount typed_ops, traced_ops;
+    const restructure::Bytes typed =
+        restructure::executeOnCpu(k, input, &typed_ops);
+    const restructure::Bytes traced =
+        restructure::executeOnCpu(k, input, &traced_ops, &tracer);
+    EXPECT_EQ(typed, traced) << what;
+    EXPECT_EQ(typed_ops.flops, traced_ops.flops) << what;
+    EXPECT_EQ(typed_ops.int_ops, traced_ops.int_ops) << what;
+    EXPECT_EQ(typed_ops.bytes_read, traced_ops.bytes_read) << what;
+    EXPECT_EQ(typed_ops.bytes_written, traced_ops.bytes_written) << what;
+}
+
+constexpr DType oracle_dtypes[] = {DType::F32, DType::F16, DType::I32,
+                                   DType::I16, DType::I8,  DType::U8};
+
+/** What the random chains below have exercised so far. */
+struct ChainCoverage
+{
+    bool op[8] = {};
+    bool cast_to[6] = {};
+    bool map_fn[8] = {};
+    bool ragged_matvec = false; ///< mat_rows > 8, not a multiple of 8
+};
+
+/**
+ * A random well-formed rank-2 stage chain. Values stay finite: Exp is
+ * preceded by a clamp and the inputs below hold no NaN or infinity, so
+ * every output byte is defined by the float operations alone (an
+ * operand-order-dependent NaN payload cannot arise).
+ */
+restructure::Kernel
+randomOracleChain(Rng &rng, ChainCoverage &cov)
+{
+    using namespace restructure;
+    Kernel k;
+    k.name = "oracle_chain";
+    k.input = BufferDesc{oracle_dtypes[rng.below(6)],
+                         {1 + rng.below(5), 1 + rng.below(12)}};
+    BufferDesc cur = k.input;
+    const std::size_t n = 1 + rng.below(6);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto op = static_cast<StageOp>(rng.below(8));
+        switch (op) {
+          case StageOp::Map: {
+            std::vector<MapStep> steps;
+            for (std::size_t j = 1 + rng.below(3); j > 0; --j) {
+                const auto fn = static_cast<MapFn>(rng.below(8));
+                if (fn == MapFn::Exp)
+                    steps.push_back({MapFn::ClampMax, 10.0f});
+                steps.push_back(
+                    {fn, static_cast<float>(rng.uniform(-3.0, 3.0))});
+                cov.map_fn[static_cast<int>(fn)] = true;
+            }
+            k.stages.push_back(mapStage(std::move(steps)));
+            break;
+          }
+          case StageOp::Cast: {
+            const DType to = oracle_dtypes[rng.below(6)];
+            cov.cast_to[static_cast<int>(to)] = true;
+            k.stages.push_back(castStage(to));
+            break;
+          }
+          case StageOp::Transpose2D:
+            k.stages.push_back(transposeStage());
+            break;
+          case StageOp::MatVec: {
+            const std::size_t rows = 1 + rng.below(19);
+            const std::size_t cols = cur.inner();
+            auto w = std::make_shared<std::vector<float>>(rows * cols);
+            for (float &v : *w)
+                v = static_cast<float>(rng.uniform(-1.5, 1.5));
+            cov.ragged_matvec = cov.ragged_matvec ||
+                                (rows > 8 && rows % 8 != 0);
+            k.stages.push_back(matVecStage(rows, cols, std::move(w)));
+            break;
+          }
+          case StageOp::Gather: {
+            const std::vector<std::size_t> shape{1 + rng.below(4),
+                                                 1 + rng.below(8)};
+            auto idx =
+                std::make_shared<std::vector<std::uint32_t>>(shape[0] *
+                                                             shape[1]);
+            for (std::uint32_t &v : *idx)
+                v = static_cast<std::uint32_t>(rng.below(cur.elems()));
+            k.stages.push_back(gatherStage(std::move(idx), shape));
+            break;
+          }
+          case StageOp::Magnitude:
+            if (cur.inner() % 2 != 0) {
+                k.stages.push_back(padStage(cur.inner() + 1, 0.25f));
+                cur = k.output();
+            }
+            k.stages.push_back(magnitudeStage());
+            break;
+          case StageOp::Reduce:
+            k.stages.push_back(reduceStage());
+            break;
+          case StageOp::Pad:
+            k.stages.push_back(
+                padStage(cur.inner() + rng.below(4),
+                         static_cast<float>(rng.uniform(-9.0, 9.0))));
+            break;
+        }
+        cov.op[static_cast<int>(op)] = true;
+        cur = k.output();
+    }
+    return k;
+}
+
+/** Finite input bytes for @p desc, spanning each dtype's range. */
+restructure::Bytes
+finiteInputFor(const restructure::BufferDesc &desc, Rng &rng)
+{
+    restructure::Bytes in(desc.bytes());
+    const std::size_t esz = dtypeSize(desc.dtype);
+    for (std::size_t i = 0; i < desc.elems(); ++i) {
+        std::uint8_t *at = in.data() + i * esz;
+        switch (desc.dtype) {
+          case DType::F32: {
+            const float v = static_cast<float>(rng.uniform(-8.0, 8.0));
+            std::memcpy(at, &v, 4);
+            break;
+          }
+          case DType::F16: {
+            std::uint16_t h;
+            do {
+                h = static_cast<std::uint16_t>(rng.next());
+            } while ((h & 0x7c00) == 0x7c00); // no inf / NaN
+            std::memcpy(at, &h, 2);
+            break;
+          }
+          case DType::I32: {
+            const auto v = static_cast<std::int32_t>(
+                rng.below(200001)) - 100000;
+            std::memcpy(at, &v, 4);
+            break;
+          }
+          default:
+            for (std::size_t b = 0; b < esz; ++b)
+                at[b] = static_cast<std::uint8_t>(rng.next());
+            break;
+        }
+    }
+    return in;
+}
+
+} // namespace
+
+TEST(CpuOracle, TypedStagesMatchTracedPathOnCatalogKernels)
+{
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        Rng shapes_rng(seed * 131 + 3);
+        const auto kernels = catalogAtRandomShapes(shapes_rng);
+        for (std::size_t k = 0; k < kernels.size(); ++k) {
+            Rng in_rng(seed * 997 + k);
+            expectTypedMatchesTraced(
+                kernels[k], randomInputFor(kernels[k].input, in_rng),
+                "seed " + std::to_string(seed) + " kernel " +
+                    kernels[k].name);
+        }
+    }
+}
+
+TEST(CpuOracle, TypedStagesMatchTracedPathOnRandomChains)
+{
+    ChainCoverage cov;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        Rng rng(seed * 7919 + 11);
+        const restructure::Kernel k = randomOracleChain(rng, cov);
+        expectTypedMatchesTraced(k, finiteInputFor(k.input, rng),
+                                 "chain seed " + std::to_string(seed));
+    }
+    // The seeds must reach every stage kind, Cast target and MapFn,
+    // and a MatVec with a partial block of outputs.
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_TRUE(cov.op[i]) << "stage op " << i;
+        EXPECT_TRUE(cov.map_fn[i]) << "MapFn " << i;
+    }
+    for (int i = 0; i < 6; ++i)
+        EXPECT_TRUE(cov.cast_to[i]) << "cast to " << dtypeName(
+                                           oracle_dtypes[i]);
+    EXPECT_TRUE(cov.ragged_matvec);
+}
+
+// ------------------------------------------------------------------
 // 5. Settle-visit linearity regression
 
 namespace

@@ -239,6 +239,65 @@ TEST(DrxIsa, GatherRejectsIndicesWithNoIntegerValue)
     }
 }
 
+TEST(DrxIsa, StreamAddressesThatWrapPast64BitsAreFatal)
+{
+    // A dim-0 stride of 2^62 F32 elements is 2^64 bytes: in wrapping
+    // arithmetic the second iteration's address lands back on the
+    // first tile and passes the range check (a load read 1 2 3 4
+    // twice). Each stream kind must reject it instead.
+    constexpr std::int64_t huge = std::int64_t{1} << 62;
+    for (const char *what : {"load", "store", "gather"}) {
+        const std::string kind = what;
+        DrxMachine m;
+        const auto in = m.alloc(4 * 4);
+        const auto idx = m.alloc(4 * 4);
+        const auto out = m.alloc(8 * 4);
+        const auto data = floatBytes({1, 2, 3, 4});
+        m.write(in, data.data(), data.size());
+        const auto ids = floatBytes({0, 1, 2, 3});
+        m.write(idx, ids.data(), ids.size());
+        ProgramBuilder b("wrap64");
+        b.loop(0, 2)
+            .streamCfg(0, in, DType::F32, kind == "load" ? huge : 0, 0, 0, 4)
+            .streamCfg(1, out, DType::F32, kind == "store" ? huge : 4, 0,
+                       0, 4)
+            .streamCfg(2, idx, DType::F32, 0, 0, 0, 4)
+            .streamCfg(3, in, DType::F32, kind == "gather" ? huge : 0, 0,
+                       0, 4)
+            .sync();
+        if (kind == "gather")
+            b.load(1, 2).gather(0, 3, 1);
+        else
+            b.load(0, 0);
+        b.store(1, 0);
+        const Program p = b.build();
+        EXPECT_THROW(m.run(p), std::runtime_error) << what;
+    }
+}
+
+TEST(DrxIsa, StrideTimesIndexOverflowingInt64IsFatal)
+{
+    // (2^62 + 1) * 4 overflows int64 and wraps to 4, a valid offset.
+    // Placed post at depth 0, the load runs only at dim-1 index 4, so
+    // no earlier access can fail first.
+    DrxMachine m;
+    const auto in = m.alloc(8 * 4);
+    const auto out = m.alloc(4 * 4);
+    Program p = ProgramBuilder("stride_overflow")
+                    .loop(0, 1)
+                    .loop(1, 5)
+                    .streamCfg(0, in, DType::F32, 0,
+                               (std::int64_t{1} << 62) + 1, 0, 4)
+                    .streamCfg(1, out, DType::F32, 0, 0, 0, 4)
+                    .sync()
+                    .load(0, 0)
+                    .at(0, true)
+                    .store(1, 0)
+                    .at(0, true)
+                    .build();
+    EXPECT_THROW(m.run(p), std::runtime_error);
+}
+
 TEST(DrxIsa, ScalarOpsViaSingleElementTiles)
 {
     // "Scalar mode": tiles of one element exercise the serial path the

@@ -67,6 +67,38 @@ TEST(ShapeInference, PipelineShapes)
     EXPECT_EQ(k.output().dtype, DType::F32);
 }
 
+TEST(ShapeInference, StageDescsEqualDescAfterForEveryCatalogKernel)
+{
+    const std::vector<Kernel> catalog{
+        melSpectrogram(16, 128, 32),
+        videoFrameRestructure(48, 64, 24),
+        brainSignalRestructure(8, 64, 8),
+        textRecordRestructure(64 * 12, 64, 80),
+        nerTokenRestructure(512, 12, 24),
+        dbColumnarize(96, false),
+        dbColumnarize(96, true),
+        vectorReduction(4, 100),
+    };
+    for (const Kernel &k : catalog) {
+        const std::vector<BufferDesc> descs = k.stageDescs();
+        ASSERT_EQ(descs.size(), k.stages.size() + 1) << k.name;
+        for (std::size_t i = 0; i < descs.size(); ++i) {
+            const BufferDesc want = k.descAfter(i);
+            EXPECT_EQ(descs[i].dtype, want.dtype) << k.name << " at " << i;
+            EXPECT_EQ(descs[i].shape, want.shape) << k.name << " at " << i;
+        }
+    }
+
+    Kernel bad;
+    bad.name = "bad";
+    bad.input = BufferDesc{DType::F32, {4}};
+    bad.stages.push_back(gatherStage(
+        std::make_shared<std::vector<std::uint32_t>>(
+            std::vector<std::uint32_t>{0, 4}),
+        {2}));
+    EXPECT_THROW(bad.stageDescs(), std::runtime_error);
+}
+
 TEST(ShapeInference, RejectsBadStages)
 {
     Kernel k;
