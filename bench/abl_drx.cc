@@ -5,8 +5,9 @@
  *  - access/execute double buffering on/off,
  *  - banded vs dense MatVec lowering,
  *  - affine strided lowering vs index-table gathers.
- * Each row reports simulated DRX cycles on the mel-spectrogram and
- * columnarization restructuring kernels.
+ * Each row reports simulated DRX cycles on the mel-spectrogram, text
+ * record and columnarization restructuring kernels; every cell is also
+ * a --json metric, so CI gates each ablation path at zero tolerance.
  */
 
 #include <cstring>
@@ -105,7 +106,8 @@ main(int argc, char **argv)
     const Cycles text_base = cyc[1];
     const Cycles db_base = cyc[2];
     std::size_t cell = 0;
-    auto add = [&](const std::string &name) {
+    // Every cell is also a --json metric, <kernel>_<config>_cycles.
+    auto add = [&](const std::string &name, const std::string &key) {
         const Cycles mc = cyc[cell++];
         const Cycles tc = cyc[cell++];
         const Cycles dc = cyc[cell++];
@@ -114,17 +116,19 @@ main(int argc, char **argv)
                Table::num(static_cast<double>(mc) / mel_base),
                Table::num(static_cast<double>(tc) / text_base),
                Table::num(static_cast<double>(dc) / db_base)});
+        report.metric("mel_" + key + "_cycles", static_cast<double>(mc));
+        report.metric("text_" + key + "_cycles", static_cast<double>(tc));
+        report.metric("db_" + key + "_cycles", static_cast<double>(dc));
     };
-    report.metric("mel_base_cycles", static_cast<double>(mel_base));
-    report.metric("text_base_cycles", static_cast<double>(text_base));
-    report.metric("db_base_cycles", static_cast<double>(db_base));
-    add("baseline (128 lanes, hw loops, dbl-buffer)");
-    add("no Instruction Repeater (software loops)");
-    add("no access/execute double buffering");
+    add("baseline (128 lanes, hw loops, dbl-buffer)", "base");
+    add("no Instruction Repeater (software loops)", "no_hw_loops");
+    add("no access/execute double buffering", "no_double_buffer");
     t.print(std::cout);
 
     {
         const Cycles dense_cycles = cyc[cell++];
+        report.metric("mel_dense_matvec_cycles",
+                      static_cast<double>(dense_cycles));
         Table b("Banded MatVec lowering (mel filter bank)");
         b.header({"lowering", "cycles", "vs banded"});
         b.row({"banded (compiler-detected)", std::to_string(mel_base),
@@ -137,6 +141,8 @@ main(int argc, char **argv)
     // Affine strided lowering vs index-table gather.
     {
         const Cycles affine_cycles = cyc[cell++];
+        report.metric("db_affine_gather_cycles",
+                      static_cast<double>(affine_cycles));
         Table g("Gather lowering (columnarization)");
         g.header({"lowering", "cycles", "note"});
         g.row({"affine strided streams (no index table)",

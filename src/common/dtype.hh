@@ -226,7 +226,12 @@ void storeFromFloat(std::uint8_t *dst, DType t, float v);
 /** Widen the @p n contiguous elements of type @p t at @p src. */
 void loadRun(const std::uint8_t *src, DType t, float *out, std::size_t n);
 
-/** Narrow @p n floats into contiguous elements of type @p t at @p dst. */
+/**
+ * Narrow @p n floats into contiguous elements of type @p t at @p dst,
+ * byte for byte as storeAs would. U8 runs a branch-free form of
+ * storeAs<U8> that vectorizes; storeAs itself keeps nearbyintf, through
+ * which GCC folds a storeAs(loadAs(x)) move loop into a copy.
+ */
 void storeRun(std::uint8_t *dst, DType t, const float *in, std::size_t n);
 
 } // namespace dmx

@@ -606,17 +606,27 @@ planKernel(const Kernel &kernel, const DrxConfig &cfg)
     while (si < kernel.stages.size()) {
         const Stage &st = kernel.stages[si];
 
-        // Greedily fuse the trailing Map/Cast chain of this group.
+        // Greedily fuse the trailing Map/Cast chain of this group. The
+        // fused pass works in float and narrows only its last buffer,
+        // so a stage joins only if narrowing the buffer that enters it
+        // would leave the pass's floats unchanged: that buffer is F32,
+        // or it is the output of a Gather / Transpose2D head, a pure
+        // move of elements already in its dtype.
         std::size_t sj = si + 1;
         std::vector<MapStep> fused_steps;
         const bool fusable_head =
             isElementwise(st) || st.op == StageOp::Gather ||
             st.op == StageOp::Transpose2D || st.op == StageOp::Magnitude;
+        const bool move_head =
+            st.op == StageOp::Gather || st.op == StageOp::Transpose2D;
+        auto exact_entry = [&](std::size_t j) {
+            return descs[j].dtype == DType::F32 || (j == si + 1 && move_head);
+        };
         if (st.op == StageOp::Map)
             fused_steps = st.steps;
         if (fusable_head) {
             while (sj < kernel.stages.size() &&
-                   isElementwise(kernel.stages[sj])) {
+                   isElementwise(kernel.stages[sj]) && exact_entry(sj)) {
                 if (kernel.stages[sj].op == StageOp::Map) {
                     const auto &steps = kernel.stages[sj].steps;
                     fused_steps.insert(fused_steps.end(), steps.begin(),

@@ -84,6 +84,33 @@ elemOffset(const Instruction &cfg, const std::uint32_t idx[],
     return off;
 }
 
+/**
+ * @return the DRAM cycles of an access of @p bytes at @p addr when the
+ * previous access on the same engine ended at @p next (~0 for none),
+ * and advance @p next past this one. Back-to-back sequential accesses
+ * run at the full DRAM rate; a small forward skip still burns the
+ * skipped bytes (the open row / prefetched burst covers them); a real
+ * discontinuity pays burst granularity.
+ */
+Cycles
+burstCycles(std::uint64_t &next, std::uint64_t addr, std::uint64_t bytes,
+            const DrxConfig &cfg)
+{
+    std::uint64_t charged;
+    if (addr == next) {
+        charged = bytes;
+    } else if (next != ~0ull && addr > next &&
+               addr - next <= cfg.min_burst_bytes) {
+        charged = (addr - next) + bytes;
+    } else {
+        charged = std::max<std::uint64_t>(bytes, cfg.min_burst_bytes);
+    }
+    next = addr + bytes;
+    const double cycles =
+        static_cast<double>(charged) / cfg.dramBytesPerCycle();
+    return static_cast<Cycles>(std::ceil(cycles));
+}
+
 /** Byte range [addr, addr + len) of a stream access. */
 struct ByteSpan
 {
@@ -170,29 +197,78 @@ DrxMachine::read(std::uint64_t addr, std::size_t len) const
     return out;
 }
 
+bool
+DrxMachine::GatherDecode::matches(const std::vector<float> &idx,
+                                  std::uint64_t elem_size,
+                                  std::uint64_t per_index) const
+{
+    // Compare bits, not float values; an empty register has no data
+    // pointer to compare.
+    return valid && esz == elem_size && expand == per_index &&
+           key.size() == idx.size() &&
+           (idx.empty() || std::memcmp(key.data(), idx.data(),
+                                       idx.size() * sizeof(float)) == 0);
+}
+
 Cycles
 DrxMachine::memCost(StreamState &s, std::uint64_t addr,
                     std::uint64_t bytes) const
 {
     if (bytes == 0)
         return 0;
-    // Back-to-back sequential accesses on a stream run at the full
-    // DRAM rate; a small forward skip still burns the skipped bytes
-    // (the open row / prefetched burst covers them); a real
-    // discontinuity pays burst granularity.
-    std::uint64_t charged;
-    if (addr == s.next_seq_addr) {
-        charged = bytes;
-    } else if (s.next_seq_addr != ~0ull && addr > s.next_seq_addr &&
-               addr - s.next_seq_addr <= _cfg.min_burst_bytes) {
-        charged = (addr - s.next_seq_addr) + bytes;
-    } else {
-        charged = std::max<std::uint64_t>(bytes, _cfg.min_burst_bytes);
+    return burstCycles(s.next_seq_addr, addr, bytes, _cfg);
+}
+
+void
+DrxMachine::decodeGather(const std::vector<float> &idx, std::uint64_t esz,
+                         std::uint64_t expand, const Program &program)
+{
+    GatherDecode &g = _gather;
+    g.valid = false;
+    const std::size_t n = idx.size();
+    g.at.resize(n);
+    // Validate and convert every index once; the addresses are monotone
+    // in the index, so the smallest and largest bound the span.
+    std::uint64_t min_index = ~0ull, max_index = 0;
+    for (std::size_t e = 0; e < n; ++e) {
+        const std::uint64_t index =
+            gatherIndex(idx[e], _cfg.dram_bytes, program);
+        g.at[e] = index;
+        min_index = std::min(min_index, index);
+        max_index = std::max(max_index, index);
     }
-    s.next_seq_addr = addr + bytes;
-    const double cycles = static_cast<double>(charged) /
-                          _cfg.dramBytesPerCycle();
-    return static_cast<Cycles>(std::ceil(cycles));
+    for (std::uint64_t &at : g.at)
+        at = (at - min_index) * esz;
+    g.min_index = min_index;
+    g.max_index = max_index;
+
+    // Coalesce runs of consecutive indices: the Off-chip engine merges
+    // them into bursts. Only address differences enter the charge, so
+    // offsets inside the span give the cost at any span address.
+    g.mem = 0;
+    g.bytes = 0;
+    std::uint64_t last_end = ~0ull;
+    auto charge = [&](std::uint64_t addr, std::uint64_t len) {
+        g.mem += burstCycles(last_end, addr, len, _cfg);
+        g.bytes += len;
+    };
+    if (expand > 1) {
+        // One DMA descriptor per index.
+        for (const std::uint64_t at : g.at)
+            charge(at, expand * esz);
+    } else {
+        std::size_t run_start = 0;
+        for (std::size_t e = 1; e <= n; ++e) {
+            if (e == n || g.at[e - 1] + esz != g.at[e]) {
+                charge(g.at[run_start], (e - run_start) * esz);
+                run_start = e;
+            }
+        }
+    }
+    g.key.assign(idx.begin(), idx.end());
+    g.esz = esz;
+    g.expand = expand;
+    g.valid = true;
 }
 
 Cycles
@@ -439,6 +515,8 @@ DrxMachine::run(const Program &program, Tick trace_base)
         }
         _uops.push_back(u);
     }
+    // A Gather decode lives for one run.
+    _gather.valid = false;
 
     std::uint32_t idx[max_loop_dims] = {0, 0, 0};
     for (idx[0] = 0; idx[0] < iters[0]; ++idx[0]) {
@@ -523,98 +601,51 @@ DrxMachine::run(const Program &program, Tick trace_base)
                         const std::uint64_t esz = u.esz;
                         const std::int64_t off =
                             elemOffset(s.cfg, idx, "gather", program);
-                        const auto &idx_reg = regs[ins.src_b];
-                        auto &dst = regs[ins.dst];
                         // Run-compressed mode: each index addresses a
                         // run of `count` consecutive elements.
                         const std::size_t expand =
                             ins.count > 1 ? ins.count : 1;
-                        dst.resize(idx_reg.size() * expand);
-                        const std::uint64_t run_bytes = expand * esz;
-                        // Validate every index before any load; the
-                        // addresses are monotone in the index, so the
-                        // smallest and largest bound the span.
-                        std::uint64_t min_index = ~0ull, max_index = 0;
-                        for (const float v : idx_reg) {
-                            const std::uint64_t index =
-                                gatherIndex(v, _cfg.dram_bytes, program);
-                            min_index = std::min(min_index, index);
-                            max_index = std::max(max_index, index);
-                        }
-                        ByteSpan span{0, 0};
+                        const GatherDecode &g = _gather;
+                        if (!g.matches(regs[ins.src_b], esz, expand))
+                            decodeGather(regs[ins.src_b], esz, expand,
+                                         program);
+                        const std::size_t n = g.at.size();
                         const std::uint8_t *table = nullptr;
-                        if (!idx_reg.empty()) {
+                        if (n) {
                             std::int64_t first, last;
-                            if (__builtin_add_overflow(off, min_index,
+                            if (__builtin_add_overflow(off, g.min_index,
                                                        &first) ||
-                                __builtin_add_overflow(off, max_index,
+                                __builtin_add_overflow(off, g.max_index,
                                                        &last))
                                 addressOverflow("gather", program);
-                            span = streamSpan(s.cfg.base, first, last, esz,
-                                              run_bytes, "gather", program);
+                            const ByteSpan span =
+                                streamSpan(s.cfg.base, first, last, esz,
+                                           expand * esz, "gather", program);
                             table = dram(span.addr, span.len, "gather",
                                          &program);
                         }
-                        // Byte offset of index e's run inside the span.
-                        auto at = [&](std::size_t e) -> std::uint64_t {
-                            return (static_cast<std::uint64_t>(idx_reg[e]) -
-                                    min_index) *
-                                   esz;
-                        };
-                        // Coalesce runs of consecutive indices: the
-                        // Off-chip engine merges them into bursts.
-                        std::uint64_t bytes = 0;
-                        Cycles mem = 0;
-                        std::uint64_t last_end = ~0ull;
-                        auto charge = [&](std::uint64_t addr,
-                                          std::uint64_t len) {
-                            std::uint64_t charged;
-                            if (addr == last_end) {
-                                charged = len;
-                            } else if (last_end != ~0ull &&
-                                       addr > last_end &&
-                                       addr - last_end <=
-                                           _cfg.min_burst_bytes) {
-                                charged = (addr - last_end) + len;
-                            } else {
-                                charged = std::max<std::uint64_t>(
-                                    len, _cfg.min_burst_bytes);
-                            }
-                            last_end = addr + len;
-                            mem += static_cast<Cycles>(std::ceil(
-                                static_cast<double>(charged) /
-                                _cfg.dramBytesPerCycle()));
-                            bytes += len;
-                        };
-                        if (expand > 1) {
-                            // One DMA descriptor per index.
-                            for (std::size_t e = 0; e < idx_reg.size(); ++e)
-                                charge(span.addr + at(e), run_bytes);
-                        } else {
-                            std::size_t run_start = 0;
-                            for (std::size_t e = 1; e <= idx_reg.size();
-                                 ++e) {
-                                if (e == idx_reg.size() ||
-                                    at(e - 1) + esz != at(e)) {
-                                    charge(span.addr + at(run_start),
-                                           (e - run_start) * esz);
-                                    run_start = e;
-                                }
-                            }
-                        }
-                        // Loads last: with one element per index, dst
-                        // may be the index register itself.
+                        // The loads read only the decoded offsets, so
+                        // dst may be the index register itself.
+                        auto &dst = regs[ins.dst];
+                        dst.resize(n * expand);
+                        float *out = dst.data();
+                        const std::uint64_t *at = g.at.data();
                         visitDType(s.cfg.dtype, [&](auto c) {
-                            for (std::size_t e = 0; e < idx_reg.size(); ++e) {
-                                const std::uint8_t *src = table + at(e);
+                            if (expand == 1) {
+                                for (std::size_t e = 0; e < n; ++e)
+                                    out[e] = loadAs<c.value>(table + at[e]);
+                                return;
+                            }
+                            for (std::size_t e = 0; e < n; ++e) {
+                                const std::uint8_t *src = table + at[e];
                                 for (std::size_t k = 0; k < expand; ++k)
-                                    dst[e * expand + k] =
+                                    out[e * expand + k] =
                                         loadAs<c.value>(src + k * esz);
                             }
                         });
                         checkScratch(regs);
-                        res.mem_cycles += mem;
-                        res.bytes_read += bytes;
+                        res.mem_cycles += g.mem;
+                        res.bytes_read += g.bytes;
                         res.compute_cycles +=
                             vopCost(VFunc::Copy, dst.size());
                         break;

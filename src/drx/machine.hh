@@ -31,7 +31,9 @@
  *
  * Stream addresses are computed with overflow-checked arithmetic (an
  * overflow is fatal, never a wrap), and each Load/Store tile and each
- * Gather is range-checked once over its whole byte span.
+ * Gather is range-checked once over its whole byte span. A Gather
+ * validates and converts its index register once, and reuses that
+ * decode within a run while the register holds the same bits.
  */
 
 #ifndef DMX_DRX_MACHINE_HH
@@ -219,6 +221,33 @@ class DrxMachine
     };
 
     /**
+     * The last Gather's index register, decoded: every index validated
+     * and turned into the byte offset of its run inside the gather's
+     * span, plus the span's index bounds and the cost of the coalesced
+     * bursts. None of these depend on the stream's base or loop offset,
+     * so a Gather reuses them for the rest of the run while its index
+     * register holds the same bits and its element size and run length
+     * are the same (compared by value, so a rewritten register can
+     * never match a stale decode).
+     */
+    struct GatherDecode
+    {
+        bool valid = false;
+        std::uint64_t esz = 0;           ///< stream element size (bytes)
+        std::uint64_t expand = 0;        ///< elements per index
+        std::vector<float> key;          ///< the index register decoded
+        std::vector<std::uint64_t> at;   ///< run offset in the span, bytes
+        std::uint64_t min_index = 0;
+        std::uint64_t max_index = 0;
+        Cycles mem = 0;                  ///< coalesced DRAM cycles
+        std::uint64_t bytes = 0;         ///< bytes read
+
+        /** @return true if this decode is of exactly these operands. */
+        bool matches(const std::vector<float> &idx, std::uint64_t esz,
+                     std::uint64_t expand) const;
+    };
+
+    /**
      * The one accessor for device DRAM: fatal unless [@p addr,
      * @p addr + @p len) lies inside the modelled capacity (@p what and
      * @p program name the access), then grow the backing, zero-filled,
@@ -231,6 +260,14 @@ class DrxMachine
     /** Charge a DRAM access of @p bytes starting at @p addr. */
     Cycles memCost(StreamState &s, std::uint64_t addr,
                    std::uint64_t bytes) const;
+
+    /**
+     * Decode index register @p idx of a Gather with @p esz-byte
+     * elements and @p expand elements per index into _gather; fatal on
+     * an index that addresses no element.
+     */
+    void decodeGather(const std::vector<float> &idx, std::uint64_t esz,
+                      std::uint64_t expand, const Program &program);
 
     /** @return cycles for a vector op over @p len elements. */
     Cycles vopCost(VFunc fn, std::size_t len) const;
@@ -266,11 +303,13 @@ class DrxMachine
     std::uint64_t _brk = 0;
 
     // Interpreter scratch arena: the register file, the vector-op
-    // temporary and the decoded micro-op buffer are reused across
-    // run() calls so steady-state interpretation never allocates.
+    // temporary, the decoded micro-op buffer and the Gather decode
+    // are reused across run() calls so steady-state interpretation
+    // never allocates.
     std::vector<std::vector<float>> _regs;
     std::vector<float> _tmp;
     std::vector<MicroOp> _uops;
+    GatherDecode _gather;
 };
 
 } // namespace dmx::drx

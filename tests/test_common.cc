@@ -838,3 +838,70 @@ TEST(DtypeConverters, RandomBitPatternsMatchPerElementReference)
         }
     }
 }
+
+namespace
+{
+
+/**
+ * Floats where a narrowing to an integer type can go wrong: a fixed
+ * stride through every bit pattern, every half-integer in
+ * [-40000, 40000] (the ties), each clamp bound and bound +-0.5 with
+ * their float neighbours, the edges of the 2^22..2^24 rounding ranges
+ * with their neighbours, signed zeros, infinities and NaNs.
+ */
+std::vector<float>
+narrowingSweep()
+{
+    std::vector<float> vals;
+    for (std::uint64_t b = 0; b < (1ull << 32); b += 4099)
+        vals.push_back(fromBits(static_cast<std::uint32_t>(b)));
+    for (int k = -80000; k <= 80000; ++k)
+        vals.push_back(static_cast<float>(k) * 0.5f);
+    auto with_neighbours = [&vals](float v) {
+        vals.push_back(v);
+        vals.push_back(std::nextafter(v, -inf));
+        vals.push_back(std::nextafter(v, inf));
+    };
+    for (const float bound : {0.0f, 255.0f, -128.0f, 127.0f, -32768.0f,
+                              32767.0f, -2147483648.0f, 2147483648.0f}) {
+        with_neighbours(bound);
+        with_neighbours(bound - 0.5f);
+        with_neighbours(bound + 0.5f);
+    }
+    for (const float p : {0x1p22f, 0x1p23f, 0x1p24f}) {
+        with_neighbours(p);
+        with_neighbours(-p);
+    }
+    for (const std::uint32_t b :
+         {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+          0xffc00000u, 0x7fffffffu, 0x7f800001u, 0xff800001u, 0x7fa00000u})
+        vals.push_back(fromBits(b)); // +-0, +-inf, quiet and signalling NaN
+    return vals;
+}
+
+} // namespace
+
+TEST(DtypeConverters, RunNarrowingEqualsPerElementStoreOnBoundarySweep)
+{
+    // storeRun narrows U8 without libm (magic-constant rounding and
+    // branch-free clamps) and the other integer types through
+    // storeAs<T>, the per-element reference.
+    const std::vector<float> vals = narrowingSweep();
+    ASSERT_GT(vals.size(), 1'000'000u);
+    for (const DType t : {DType::U8, DType::I8, DType::I16, DType::I32}) {
+        const std::size_t esz = dtypeSize(t);
+        ByteVec run(vals.size() * esz, 0xab), elem(vals.size() * esz);
+        storeRun(run.data(), t, vals.data(), vals.size());
+        visitDType(t, [&](auto c) {
+            for (std::size_t i = 0; i < vals.size(); ++i)
+                storeAs<c.value>(elem.data() + i * esz, vals[i]);
+        });
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+            ASSERT_TRUE(std::equal(run.begin() + i * esz,
+                                   run.begin() + (i + 1) * esz,
+                                   elem.begin() + i * esz))
+                << dtypeName(t) << " narrowing 0x" << std::hex
+                << bitsOf(vals[i]);
+        }
+    }
+}

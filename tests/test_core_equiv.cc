@@ -18,7 +18,8 @@
  *     IntegrityPlan) must reproduce a pinned digest of their integer
  *     RunStats and of every trace span and counter sample.
  *  4. DRX interpreter: every catalog restructuring kernel at random
- *     shapes must be byte-equal to restructure::executeOnCpu.
+ *     shapes, and 500 random stage chains on 16 ablation configs, must
+ *     be byte-equal to restructure::executeOnCpu.
  *  5. Settle visits: completion reaping scales linearly with flow
  *     count, pinned via Fabric::settleVisits().
  */
@@ -32,6 +33,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -771,6 +773,63 @@ TEST(DrxOracle, RandomShapeCatalogKernelsMatchCpuExecutor)
     }
 }
 
+TEST(DrxOracle, FusedElementwiseChainNarrowsIntermediateBuffers)
+{
+    // A fused Map/Cast pass works in float and narrows only its last
+    // buffer, so a stage may join it only when narrowing the buffer
+    // entering that stage changes no value. These chains narrow in the
+    // middle; the literals are the CPU oracle's bytes.
+    using namespace restructure;
+    auto f32Bytes = [](std::vector<float> v) {
+        Bytes b(v.size() * 4);
+        std::memcpy(b.data(), v.data(), b.size());
+        return b;
+    };
+    struct Repro
+    {
+        std::vector<float> input;
+        std::vector<Stage> stages;
+        Bytes want;
+    };
+    const Repro repros[] = {
+        {{2.4f, 300.0f},
+         {castStage(DType::I8), castStage(DType::U8)},
+         {2, 127}},
+        {{2.4f, 300.0f},
+         {castStage(DType::I8), mapStage({{MapFn::Scale, 2.0f}})},
+         {4, 127}},
+        {{1e5f, 0.1f},
+         {castStage(DType::F16), castStage(DType::F32)},
+         f32Bytes({65504.0f, 0.0999755859375f})},
+    };
+    for (const Repro &r : repros) {
+        Kernel k;
+        k.name = "narrow_mid_chain";
+        k.input = BufferDesc{DType::F32, {r.input.size()}};
+        k.stages = r.stages;
+        const Bytes input = f32Bytes(r.input);
+        EXPECT_EQ(executeOnCpu(k, input), r.want);
+        drx::DrxMachine m;
+        Bytes out;
+        drx::runKernelOnDrx(k, input, m, &out);
+        EXPECT_EQ(out, r.want) << dtypeName(k.stages[0].to) << " then "
+                               << dtypeName(k.output().dtype);
+    }
+
+    // A Gather or Transpose2D head only moves elements already in its
+    // dtype, so the Cast after it still fuses: the catalog plans keep
+    // their program counts.
+    const std::pair<Kernel, std::size_t> plans[] = {
+        {nerTokenRestructure(1000, 16, 64), 1},
+        {videoFrameRestructure(96, 128, 32), 2},
+        {brainSignalRestructure(8, 65, 8), 3},
+    };
+    for (const auto &[k, programs] : plans)
+        EXPECT_EQ(drx::planKernel(k, drx::DrxConfig{}).programs.size(),
+                  programs)
+            << k.name;
+}
+
 // ------------------------------------------------------------------
 // 4b. CPU oracle: typed stage loops vs the traced per-element path
 
@@ -807,20 +866,76 @@ expectTypedMatchesTraced(const restructure::Kernel &k,
 constexpr DType oracle_dtypes[] = {DType::F32, DType::F16, DType::I32,
                                    DType::I16, DType::I8,  DType::U8};
 
+/** Gather index tables drawn by randomOracleChain. */
+enum class GatherKind : unsigned
+{
+    Random,     ///< independent random indices
+    Strided,    ///< start + i * stride, wrapping at the buffer end
+    Affine,     ///< runs of L, m runs A apart, o blocks B apart
+    Descending, ///< start - i * stride, wrapping below zero
+};
+
 /** What the random chains below have exercised so far. */
 struct ChainCoverage
 {
     bool op[8] = {};
     bool cast_to[6] = {};
     bool map_fn[8] = {};
+    bool gather[4] = {};        ///< by GatherKind
     bool ragged_matvec = false; ///< mat_rows > 8, not a multiple of 8
+    bool banded_matvec = false; ///< every weight row a narrow band
+    bool wide = false;          ///< a buffer larger than one 2048 tile
 };
+
+/**
+ * Indices of kind @p kind into a buffer of @p elems elements, for an
+ * output of @p shape (which an affine table may shrink to fit).
+ */
+std::vector<std::uint32_t>
+randomGatherTable(Rng &rng, GatherKind kind, std::size_t elems,
+                  std::vector<std::size_t> &shape)
+{
+    const std::size_t n = shape[0] * shape[1];
+    std::vector<std::uint32_t> idx;
+    if (kind == GatherKind::Strided || kind == GatherKind::Descending) {
+        const std::size_t stride = 1 + rng.below(4);
+        std::size_t at = rng.below(elems);
+        for (std::size_t i = 0; i < n; ++i) {
+            idx.push_back(static_cast<std::uint32_t>(at));
+            at = kind == GatherKind::Strided
+                     ? (at + stride) % elems
+                     : (at + elems - stride % elems) % elems;
+        }
+    } else if (kind == GatherKind::Affine) {
+        const std::size_t run = 1 + rng.below(std::min<std::size_t>(
+                                        shape[1], elems > 256 ? 64 : 4));
+        const std::size_t runs = std::max<std::size_t>(1, shape[1] / run);
+        const std::size_t a = run + rng.below(3);
+        const std::size_t b = runs * a + rng.below(4);
+        const std::size_t span = (shape[0] - 1) * b + (runs - 1) * a + run;
+        if (span <= elems) {
+            shape[1] = runs * run;
+            const std::size_t start = rng.below(elems - span + 1);
+            for (std::size_t o = 0; o < shape[0]; ++o)
+                for (std::size_t m = 0; m < runs; ++m)
+                    for (std::size_t e = 0; e < run; ++e)
+                        idx.push_back(static_cast<std::uint32_t>(
+                            start + o * b + m * a + e));
+        }
+    }
+    // Random tables, and affine ones that do not fit the buffer.
+    while (idx.size() < shape[0] * shape[1])
+        idx.push_back(static_cast<std::uint32_t>(rng.below(elems)));
+    return idx;
+}
 
 /**
  * A random well-formed rank-2 stage chain. Values stay finite: Exp is
  * preceded by a clamp and the inputs below hold no NaN or infinity, so
  * every output byte is defined by the float operations alone (an
- * operand-order-dependent NaN payload cannot arise).
+ * operand-order-dependent NaN payload cannot arise). A quarter of the
+ * inputs are wide (up to ~2,800 elements), so stages cross the DRX's
+ * tile boundaries and MatVec bands span up to ~700 columns.
  */
 restructure::Kernel
 randomOracleChain(Rng &rng, ChainCoverage &cov)
@@ -828,8 +943,12 @@ randomOracleChain(Rng &rng, ChainCoverage &cov)
     using namespace restructure;
     Kernel k;
     k.name = "oracle_chain";
-    k.input = BufferDesc{oracle_dtypes[rng.below(6)],
-                         {1 + rng.below(5), 1 + rng.below(12)}};
+    const DType in_dtype = oracle_dtypes[rng.below(6)];
+    if (rng.below(4) == 0)
+        k.input = BufferDesc{in_dtype,
+                             {1 + rng.below(4), 300 + rng.below(400)}};
+    else
+        k.input = BufferDesc{in_dtype, {1 + rng.below(5), 1 + rng.below(12)}};
     BufferDesc cur = k.input;
     const std::size_t n = 1 + rng.below(6);
     for (std::size_t i = 0; i < n; ++i) {
@@ -858,24 +977,46 @@ randomOracleChain(Rng &rng, ChainCoverage &cov)
             k.stages.push_back(transposeStage());
             break;
           case StageOp::MatVec: {
-            const std::size_t rows = 1 + rng.below(19);
+            // Most weight matrices are banded (each row nonzero on at
+            // most 64 consecutive columns, a third of the row or less),
+            // which the DRX lowers as gathers of the band.
             const std::size_t cols = cur.inner();
-            auto w = std::make_shared<std::vector<float>>(rows * cols);
-            for (float &v : *w)
-                v = static_cast<float>(rng.uniform(-1.5, 1.5));
+            const bool banded = cols >= 6 && rng.below(4) != 0;
+            const std::size_t rows =
+                banded ? 1 + rng.below(cols >= 192 ? 160 : 100)
+                       : 1 + rng.below(19);
+            auto w = std::make_shared<std::vector<float>>(rows * cols,
+                                                          0.0f);
+            if (banded) {
+                // Wide rows get wide bands, so some filter banks
+                // (rows x width) outgrow one tile.
+                const std::size_t width =
+                    cols >= 192 ? 32 + rng.below(33)
+                                : 1 + rng.below(cols / 3);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    const std::size_t lo = rng.below(cols - width + 1);
+                    for (std::size_t c = lo; c < lo + width; ++c)
+                        (*w)[r * cols + c] =
+                            static_cast<float>(rng.uniform(-1.5, 1.5));
+                }
+            } else {
+                for (float &v : *w)
+                    v = static_cast<float>(rng.uniform(-1.5, 1.5));
+            }
+            cov.banded_matvec = cov.banded_matvec || banded;
             cov.ragged_matvec = cov.ragged_matvec ||
                                 (rows > 8 && rows % 8 != 0);
             k.stages.push_back(matVecStage(rows, cols, std::move(w)));
             break;
           }
           case StageOp::Gather: {
-            const std::vector<std::size_t> shape{1 + rng.below(4),
-                                                 1 + rng.below(8)};
-            auto idx =
-                std::make_shared<std::vector<std::uint32_t>>(shape[0] *
-                                                             shape[1]);
-            for (std::uint32_t &v : *idx)
-                v = static_cast<std::uint32_t>(rng.below(cur.elems()));
+            std::vector<std::size_t> shape{
+                1 + rng.below(4),
+                1 + rng.below(cur.elems() > 256 ? 600 : 8)};
+            const auto kind = static_cast<GatherKind>(rng.below(4));
+            auto idx = std::make_shared<std::vector<std::uint32_t>>(
+                randomGatherTable(rng, kind, cur.elems(), shape));
+            cov.gather[static_cast<int>(kind)] = true;
             k.stages.push_back(gatherStage(std::move(idx), shape));
             break;
           }
@@ -897,6 +1038,7 @@ randomOracleChain(Rng &rng, ChainCoverage &cov)
         }
         cov.op[static_cast<int>(op)] = true;
         cur = k.output();
+        cov.wide = cov.wide || cur.elems() > drx::max_tile_elems / 2;
     }
     return k;
 }
@@ -974,6 +1116,59 @@ TEST(CpuOracle, TypedStagesMatchTracedPathOnRandomChains)
         EXPECT_TRUE(cov.cast_to[i]) << "cast to " << dtypeName(
                                            oracle_dtypes[i]);
     EXPECT_TRUE(cov.ragged_matvec);
+}
+
+TEST(DrxOracle, RandomChainsMatchCpuExecutorUnderEveryAblation)
+{
+    // Every random chain runs on lanes {1, 3, 16, 128} x hardware loops
+    // x double buffering, at the default 64 KiB scratchpad (smaller
+    // scratchpads wait for planKernel to derive its tile caps from
+    // DrxConfig::scratch_bytes). Each machine is reused across chains,
+    // so interpreter state carried between runs would show.
+    std::vector<drx::DrxMachine> machines;
+    for (const unsigned lanes : {1u, 3u, 16u, 128u}) {
+        for (const bool loops : {true, false}) {
+            for (const bool dbl : {true, false}) {
+                drx::DrxConfig cfg;
+                cfg.lanes = lanes;
+                cfg.hardware_loops = loops;
+                cfg.double_buffer = dbl;
+                machines.emplace_back(cfg);
+            }
+        }
+    }
+    ChainCoverage cov;
+    std::map<std::string, int> lowered;
+    for (std::uint64_t seed = 0; seed < 500; ++seed) {
+        Rng rng(seed * 7919 + 11);
+        const restructure::Kernel k = randomOracleChain(rng, cov);
+        const restructure::Bytes input = finiteInputFor(k.input, rng);
+        const restructure::Bytes want = restructure::executeOnCpu(k, input);
+        for (const drx::Program &p :
+             drx::planKernel(k, machines.front().config()).programs)
+            ++lowered[p.name];
+        for (drx::DrxMachine &m : machines) {
+            m.resetAlloc();
+            restructure::Bytes out;
+            drx::runKernelOnDrx(k, input, m, &out);
+            ASSERT_EQ(out, want)
+                << "chain seed " << seed << ", lanes "
+                << m.config().lanes << ", hardware loops "
+                << m.config().hardware_loops << ", double buffer "
+                << m.config().double_buffer;
+        }
+    }
+    // The rewritten interpreter paths must all run: narrowing stores,
+    // banded and dense MatVec, index-table and strided gathers.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(cov.gather[i]) << "gather kind " << i;
+    EXPECT_TRUE(cov.banded_matvec);
+    EXPECT_TRUE(cov.wide);
+    for (const char *name :
+         {"elementwise", "gather", "gather.affine", "gather.copy",
+          "matvec.banded.rowbatch", "matvec.banded", "matvec.dense",
+          "magnitude", "reduce", "pad"})
+        EXPECT_GT(lowered[name], 0) << name;
 }
 
 // ------------------------------------------------------------------

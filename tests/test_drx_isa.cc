@@ -388,3 +388,207 @@ TEST(DrxIsa, InstructionCountAndICacheAccounting)
     // instructions replay for each of the 8 iterations.
     EXPECT_EQ(res.dyn_instructions, 4u + 24u);
 }
+
+// ------------------------------------------------------------------
+// Gather decoding. A Gather validates and converts its index register
+// once and reuses the decode, within one run, while the register holds
+// the same bits. The outputs and every RunResult field below are pinned
+// to the interpreter that re-decoded the indices on every Gather.
+
+namespace
+{
+
+/** Every timing field of a fault-free RunResult. */
+struct RunFields
+{
+    Cycles total;
+    Cycles compute;
+    Cycles mem;
+    std::uint64_t read;
+    std::uint64_t written;
+    std::uint64_t instructions;
+};
+
+void
+expectFields(const RunResult &r, const RunFields &want,
+             const std::string &what)
+{
+    EXPECT_EQ(r.total_cycles, want.total) << what;
+    EXPECT_EQ(r.compute_cycles, want.compute) << what;
+    EXPECT_EQ(r.mem_cycles, want.mem) << what;
+    EXPECT_EQ(r.bytes_read, want.read) << what;
+    EXPECT_EQ(r.bytes_written, want.written) << what;
+    EXPECT_EQ(r.dyn_instructions, want.instructions) << what;
+    EXPECT_FALSE(r.faulted) << what;
+    EXPECT_EQ(r.ecc_corrected, 0u) << what;
+    EXPECT_FALSE(r.ecc_uncorrectable) << what;
+}
+
+/** Write 100, 101, ... as @p n F32 elements at a fresh allocation. */
+std::uint64_t
+countingTable(DrxMachine &m, int n)
+{
+    std::vector<float> vals;
+    for (int i = 0; i < n; ++i)
+        vals.push_back(100.0f + static_cast<float>(i));
+    const auto at = m.alloc(vals.size() * 4);
+    const auto data = floatBytes(vals);
+    m.write(at, data.data(), data.size());
+    return at;
+}
+
+} // namespace
+
+TEST(DrxIsa, GatherDecodeFollowsIndexRegisterRewrittenBetweenGathers)
+{
+    // Each iteration reloads the same index tile, gathers through it,
+    // adds 1 to the index register in place and gathers again. The
+    // gather stream's base moves 8 elements per iteration, so a decode
+    // reused across iterations must still address the moved span.
+    DrxMachine m;
+    const auto table = countingTable(m, 40);
+    const auto idx = m.alloc(4 * 4);
+    const auto out = m.alloc(3 * 8 * 4);
+    const auto ids = floatBytes({0, 2, 4, 5});
+    m.write(idx, ids.data(), ids.size());
+    const Program p = ProgramBuilder("rewrite_between")
+                          .loop(0, 3)
+                          .streamCfg(0, idx, DType::F32, 0, 0, 0, 4)
+                          .streamCfg(1, table, DType::F32, 8, 0, 0, 4)
+                          .streamCfg(2, out, DType::F32, 8, 0, 0, 4)
+                          .streamCfg(3, out + 16, DType::F32, 8, 0, 0, 4)
+                          .sync()
+                          .load(0, 0)
+                          .gather(1, 1, 0)
+                          .compute1(VFunc::AddS, 0, 0, 1.0f)
+                          .gather(2, 1, 0)
+                          .store(2, 1)
+                          .store(3, 2)
+                          .build();
+    const RunResult res = m.run(p);
+    EXPECT_EQ(toFloats(m.read(out, 3 * 8 * 4)),
+              (std::vector<float>{100, 102, 104, 105, 101, 103, 105, 106,
+                                  108, 110, 112, 113, 109, 111, 113, 114,
+                                  116, 118, 120, 121, 117, 119, 121, 122}));
+    expectFields(res, {117, 25, 53, 144, 96, 25}, "rewrite_between");
+}
+
+TEST(DrxIsa, GatherIntoItsOwnIndexRegisterThenGatherAgain)
+{
+    // The first Gather overwrites its own index register with the
+    // gathered values, which the second Gather then uses as indices.
+    // Both run twice, so the second iteration reuses both decodes.
+    DrxMachine m;
+    const auto table = m.alloc(8 * 4);
+    const auto perm = floatBytes({3, 0, 1, 2, 7, 5, 6, 4});
+    m.write(table, perm.data(), perm.size());
+    const auto idx = m.alloc(3 * 4);
+    const auto ids = floatBytes({1, 4, 6});
+    m.write(idx, ids.data(), ids.size());
+    const auto out = m.alloc(2 * 6 * 4);
+    const Program p = ProgramBuilder("gather_in_place")
+                          .loop(0, 2)
+                          .streamCfg(0, idx, DType::F32, 0, 0, 0, 3)
+                          .streamCfg(1, table, DType::F32, 0, 0, 0, 3)
+                          .streamCfg(2, out, DType::F32, 6, 0, 0, 3)
+                          .streamCfg(3, out + 12, DType::F32, 6, 0, 0, 3)
+                          .sync()
+                          .load(0, 0)
+                          .gather(0, 1, 0)
+                          .store(2, 0)
+                          .gather(1, 1, 0)
+                          .store(3, 1)
+                          .build();
+    const RunResult res = m.run(p);
+    EXPECT_EQ(toFloats(m.read(out, 2 * 6 * 4)),
+              (std::vector<float>{0, 7, 6, 3, 4, 6, 0, 7, 6, 3, 4, 6}));
+    expectFields(res, {104, 17, 40, 72, 48, 17}, "gather_in_place");
+}
+
+TEST(DrxIsa, GatherReusesDecodeOnlyWhileIndexBitsRepeat)
+{
+    // The index tile is reloaded every iteration: the same bits twice,
+    // then the same values with -0.0 for 0.0 (other bits, so decoded
+    // again), then other indices. Run-compressed mode too.
+    const RunFields pinned[] = {{97, 18, 33, 96, 48, 18},
+                                {106, 18, 42, 144, 96, 18}};
+    for (const std::uint32_t run_len : {1u, 2u}) {
+        DrxMachine m;
+        const auto table = countingTable(m, 16);
+        const auto idx = m.alloc(4 * 3 * 4);
+        const auto tiles =
+            floatBytes({0, 3, 4, 0, 3, 4, -0.0f, 3, 4, 9, 3, 2});
+        m.write(idx, tiles.data(), tiles.size());
+        const std::uint32_t data_tile = 3 * run_len;
+        const auto out = m.alloc(4 * data_tile * 4);
+        const Program p =
+            ProgramBuilder("reload_" + std::to_string(run_len))
+                .loop(0, 4)
+                .streamCfg(0, idx, DType::F32, 3, 0, 0, 3)
+                .streamCfg(1, table, DType::F32, 0, 0, 0, data_tile)
+                .streamCfg(2, out, DType::F32, data_tile, 0, 0, data_tile)
+                .sync()
+                .load(0, 0)
+                .gather(1, 1, 0, run_len)
+                .store(2, 1)
+                .build();
+        const RunResult res = m.run(p);
+        std::vector<float> want;
+        for (const int first : {0, 3, 4, 0, 3, 4, 0, 3, 4, 9, 3, 2})
+            for (std::uint32_t k = 0; k < run_len; ++k)
+                want.push_back(100.0f + static_cast<float>(first + k));
+        EXPECT_EQ(toFloats(m.read(out, 4 * data_tile * 4)), want)
+            << "run length " << run_len;
+        expectFields(res, pinned[run_len - 1],
+                     "run length " + std::to_string(run_len));
+    }
+}
+
+TEST(DrxIsa, GatherIndexOutOfRangeAfterReuseIsStillFatal)
+{
+    // Two iterations reuse one decode; the third tile holds an index
+    // with no element, which must be fatal like on a first decode.
+    for (const std::uint32_t run_len : {1u, 3u}) {
+        DrxMachine m;
+        const auto table = countingTable(m, 16);
+        const auto idx = m.alloc(3 * 2 * 4);
+        const auto tiles = floatBytes({1, 2, 1, 2, 1, -1});
+        m.write(idx, tiles.data(), tiles.size());
+        const Program p = ProgramBuilder("late_bad_index")
+                              .loop(0, 3)
+                              .streamCfg(0, idx, DType::F32, 2, 0, 0, 2)
+                              .streamCfg(1, table, DType::F32, 0, 0, 0,
+                                         2 * run_len)
+                              .sync()
+                              .load(0, 0)
+                              .gather(1, 1, 0, run_len)
+                              .build();
+        try {
+            m.run(p);
+            ADD_FAILURE() << "run length " << run_len << ": no fatal";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "gather index out of range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(DrxIsa, GatherThroughNeverLoadedIndexRegisterTwice)
+{
+    // run() empties every register, and register 5 is never loaded, so
+    // both iterations gather through an empty index register: the
+    // second compares an empty register with an empty decode.
+    DrxMachine m;
+    const auto table = countingTable(m, 4);
+    const Program p = ProgramBuilder("gather_empty_index")
+                          .loop(0, 2)
+                          .streamCfg(1, table, DType::F32, 0, 0, 0, 4)
+                          .sync()
+                          .gather(1, 1, 5)
+                          .compute1(VFunc::AddS, 1, 1, 1.0f)
+                          .build();
+    const RunResult res = m.run(p);
+    expectFields(res, {72, 8, 0, 0, 0, 8}, "gather_empty_index");
+}
