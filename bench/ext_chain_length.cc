@@ -15,8 +15,8 @@
  *  - the closed loop under sys::ChainSubmission::Descriptor (mid-chain
  *    interrupt/doorbell round trips become engine descriptor fetches);
  *  - functional integrity::runChain chains of DRX restructure stages
- *    under ChainMode::Descriptor, with and without the DRX fusion pass
- *    (adjacent same-device stages merged into one compiled plan).
+ *    under ChainMode::Descriptor, with and without fusion (adjacent
+ *    same-device stages grouped into one Restructure descriptor).
  */
 
 #include <array>
@@ -58,7 +58,7 @@ chainApp(std::size_t k_count)
     return app;
 }
 
-/** A small, fusion-legal DRX restructure kernel (affine map). */
+/** A small DRX restructure kernel (affine map). */
 restructure::Kernel
 scaleKernel()
 {
@@ -104,8 +104,8 @@ runtimeChainTriple(unsigned n_stages)
         std::vector<integrity::ChainStage> chain;
         for (unsigned s = 0; s < n_stages; ++s) {
             integrity::ChainStage st;
-            // Pairs of same-device stages (fusable) with a p2p hop
-            // between pairs: d0, d0, d1, d1, d0, ...
+            // Pairs of same-device stages (fusion groups each pair)
+            // with a p2p hop between pairs: d0, d0, d1, d1, d0, ...
             st.device = (s / 2) % 2 ? d1 : d0;
             st.kernel = kernel;
             chain.push_back(st);

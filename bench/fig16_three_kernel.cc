@@ -10,8 +10,9 @@
  * with the legacy per-hop driver loop on the same three-kernel app:
  * the closed loop under sys::ChainSubmission::Descriptor, and a
  * functional integrity::runChain over the NER restructure split into
- * DRX parts, where the fusion pass merges the affine typecast/
- * normalize parts but must leave the data-dependent gather unfused.
+ * DRX parts, where fusion groups the typecast and normalize parts,
+ * which share a DRX, into one Restructure descriptor, and the gather
+ * reshape runs on a DRX of its own.
  */
 
 #include <array>
@@ -207,9 +208,9 @@ main(int argc, char **argv)
     report.metric("ner_fused_stages",
                   static_cast<double>(rt_fused.fused_stages));
 
-    std::printf("The fusion pass merges the affine typecast+normalize "
-                "parts into one compiled plan; the data-dependent\n"
-                "gather reshape is legality-rejected and runs "
-                "standalone (outputs stay byte-identical throughout).\n");
+    std::printf("Fusion groups the typecast+normalize parts, which share "
+                "a DRX, into one Restructure descriptor whose plans\n"
+                "run back to back; the gather reshape runs on its own "
+                "DRX (outputs stay byte-identical throughout).\n");
     return report.write();
 }

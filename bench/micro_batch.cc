@@ -138,7 +138,7 @@ runCopies(std::uint64_t bytes, unsigned batch)
     return r;
 }
 
-/** A fusion-legal DRX kernel on a side x side f32 tile. */
+/** An affine DRX kernel (a Scale map) on a side x side f32 tile. */
 restructure::Kernel
 tileKernel(std::size_t side)
 {

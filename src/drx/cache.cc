@@ -195,19 +195,10 @@ drxConfigEqual(const DrxConfig &a, const DrxConfig &b)
 
 // ---------------------------------------------------------- ProgramCache
 
-ProgramCache::ProgramCache(DrxCacheConfig cfg) : _cfg(cfg) {}
-
-void
-ProgramCache::setConfig(const DrxCacheConfig &cfg)
-{
-    _cfg = cfg;
-    evictIfNeeded();
-}
-
 void
 ProgramCache::evictIfNeeded()
 {
-    while (_entries.size() > _cfg.capacity) {
+    while (_entries.size() > capacity) {
         auto victim = _entries.begin();
         for (auto it = _entries.begin(); it != _entries.end(); ++it) {
             if (it->second.last_used < victim->second.last_used)
@@ -296,9 +287,6 @@ runKernelOnDrxCached(const restructure::Kernel &kernel,
 {
     if (cache == nullptr)
         cache = &ProgramCache::process();
-    if (!cache->config().enabled)
-        return runKernelOnDrx(kernel, input, machine, out, trace_base);
-
     const std::shared_ptr<const CompiledKernel> installed =
         installPlan(cache->lookup(kernel, machine.config()).compiled,
                     machine);

@@ -19,8 +19,9 @@
  * totals (globalCounters()) are plain atomics whose final values are
  * schedule-independent.
  *
- * DrxCacheConfig::enabled = false turns one instance into a pass-through
- * to the uncached path; the tests compare the two.
+ * There is no switch: every cache is on, with an LRU bound of
+ * ProgramCache::capacity plans. runKernelOnDrx() stays the uncached
+ * path the tests compare against.
  */
 
 #ifndef DMX_DRX_CACHE_HH
@@ -36,13 +37,6 @@
 
 namespace dmx::drx
 {
-
-/** Configuration of one ProgramCache instance. */
-struct DrxCacheConfig
-{
-    bool enabled = true;      ///< master switch (miss-only when false)
-    std::size_t capacity = 64; ///< max cached plans (LRU beyond this)
-};
 
 /** Hit/miss/eviction totals (plain values; see also globalCounters). */
 struct CacheCounters
@@ -89,10 +83,8 @@ bool drxConfigEqual(const DrxConfig &a, const DrxConfig &b);
 class ProgramCache
 {
   public:
-    explicit ProgramCache(DrxCacheConfig cfg = {});
-
-    const DrxCacheConfig &config() const { return _cfg; }
-    void setConfig(const DrxCacheConfig &cfg);
+    /// Plans kept; a miss beyond this evicts the least recently used.
+    static constexpr std::size_t capacity = 64;
 
     /** One lookup's outcome. */
     struct LookupResult
@@ -116,8 +108,7 @@ class ProgramCache
 
     /**
      * The calling thread's default cache. Thread-local so parallel
-     * scenario workers (src/exec/) stay independent and deterministic;
-     * default-configured on first use per thread.
+     * scenario workers (src/exec/) stay independent and deterministic.
      */
     static ProgramCache &process();
 
@@ -142,7 +133,6 @@ class ProgramCache
 
     void evictIfNeeded();
 
-    DrxCacheConfig _cfg;
     std::unordered_map<std::uint64_t, Entry> _entries;
     std::uint64_t _clock = 0;
     CacheCounters _counters;

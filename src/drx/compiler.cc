@@ -762,17 +762,16 @@ compileKernel(const Kernel &kernel, DrxMachine &machine)
 RunResult
 runPlanOnDrx(const std::string &name, const CompiledKernel &plan,
              const restructure::Bytes &input, DrxMachine &machine,
-             restructure::Bytes *out, Tick trace_base)
+             restructure::Bytes *out, Tick &trace_cursor)
 {
     if (input.size() != plan.in_desc.bytes())
         dmx_fatal("runKernelOnDrx('%s'): input is %zu bytes, expected %zu",
                   name.c_str(), input.size(), plan.in_desc.bytes());
     machine.write(plan.input_addr, input.data(), input.size());
     RunResult res;
-    Tick stage_base = trace_base;
     for (const Program &p : plan.programs) {
-        const RunResult stage = machine.run(p, stage_base);
-        stage_base += stage.time(machine.config().freq_hz);
+        const RunResult stage = machine.run(p, trace_cursor);
+        trace_cursor += stage.time(machine.config().freq_hz);
         res += stage;
         if (res.faulted)
             break; // the machine trapped; later stages never start

@@ -96,18 +96,20 @@ CompiledKernel compileKernel(const restructure::Kernel &kernel,
  * every stage and optionally read back the output. The plan must have
  * been installed on (or compiled against) @p machine.
  *
- * @param name       kernel name for diagnostics
- * @param plan       installed compiled kernel
- * @param input      input bytes matching plan.in_desc
- * @param machine    target DRX
- * @param out        when non-null, receives the output bytes
- * @param trace_base simulated tick anchoring the stages' trace spans
+ * @param name         kernel name for diagnostics
+ * @param plan         installed compiled kernel
+ * @param input        input bytes matching plan.in_desc
+ * @param machine      target DRX
+ * @param out          when non-null, receives the output bytes
+ * @param trace_cursor simulated tick anchoring the first stage's trace
+ *                     spans; advanced past every stage that runs, so
+ *                     plans run back to back keep their spans back to
+ *                     back
  * @return accumulated timing over all stages
  */
 RunResult runPlanOnDrx(const std::string &name, const CompiledKernel &plan,
                        const restructure::Bytes &input, DrxMachine &machine,
-                       restructure::Bytes *out = nullptr,
-                       Tick trace_base = 0);
+                       restructure::Bytes *out, Tick &trace_cursor);
 
 /**
  * Convenience: compile, upload @p input, execute every stage and read

@@ -236,7 +236,6 @@ runChainDescriptor(runtime::Platform &plat,
         }
 
         runtime::ChainOptions copts;
-        copts.fuse = cfg.fuse;
         copts.hop_crc = protect;
         copts.crc_bytes_per_sec = cfg.checksum_bytes_per_sec;
         runtime::ChainEvent ev =
@@ -257,7 +256,7 @@ runChainDescriptor(runtime::Platform &plat,
                     report.hop_retransmits += r.attempts - 1;
             } else {
                 report.stages_run += r.attempts * spans[k].span;
-                if (r.fused && r.attempts > 0)
+                if (r.attempts > 0)
                     report.fused_stages += spans[k].span - 1;
             }
         }

@@ -111,9 +111,10 @@ struct ChainConfig
     /// tick-identical to before ChainMode existed.
     ChainMode mode = ChainMode::PerHop;
 
-    /// Descriptor mode only: fuse adjacent same-device DRX stages into
-    /// one compiled plan (drx::planFusedChain; stages whose plans are
-    /// not legally fusable silently run back-to-back instead).
+    /// Descriptor mode only: run adjacent same-device DRX stages as
+    /// one Restructure descriptor, whose kernels' plans run back to
+    /// back in one attempt. A fused group retries as a whole and
+    /// counts once toward the chain watchdog's descriptor budget.
     bool fuse = false;
 
     /// Descriptor mode only: stages per descriptor-chain segment
@@ -141,8 +142,9 @@ struct ChainReport
     /// one per descriptor-chain segment in Descriptor mode.
     unsigned round_trips = 0;
     unsigned descriptor_chains = 0; ///< enqueueChain submissions made
-    /// Stage executions saved by fusion: each fused group of k stages
-    /// contributes k-1 (0 in PerHop mode or with fusion off).
+    /// Stages grouped into another stage's Restructure descriptor:
+    /// each attempted group of k stages contributes k-1 (0 in PerHop
+    /// mode or with fusion off).
     unsigned fused_stages = 0;
 
     /** @return recovery actions consumed (vs max_recoveries). */

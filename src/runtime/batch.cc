@@ -223,7 +223,7 @@ submitBatch(Context &ctx, const std::vector<BatchOp> &ops,
                     op.dst_device, op.in, op.out, op.kernels};
         if (const char *why = Core::invalid(p, descs[i]))
             dmx_fatal("submitBatch: member %zu %s", i, why);
-        plans[i] = Core::plan(p, descs[i], false);
+        plans[i] = Core::plan(p, descs[i]);
     }
 
     auto b = std::make_shared<Core::Batch>();

@@ -52,7 +52,7 @@ struct BatchOp
         Copy,        ///< DMA in -> out, device -> dst_device
         Kernel,      ///< accelerator kernel on `device`: out = fn(in)
         Restructure, ///< DRX pipeline on `device`: kernels applied in
-                     ///< order (use a Chain member for fusion)
+                     ///< order
         Chain,       ///< a whole descriptor chain (runtime/chain.hh),
                      ///< sharing the batch's doorbell and notification
     };

@@ -180,10 +180,8 @@ Core::launchChain(Context &ctx, std::shared_ptr<ChainState> st,
     run->state = st;
     run->settled = std::move(settled);
     run->plans.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        run->plans.push_back(plan(p, ops[i], opts.fuse));
-        st->records[i].fused = run->plans[i].size() < ops[i].kernels.size();
-    }
+    for (const ChainOp &op : ops)
+        run->plans.push_back(plan(p, op));
 
     // ONE watchdog armed over the whole chain: the per-command timeout
     // scaled by the descriptor count, clipped ONCE by the remaining

@@ -55,7 +55,7 @@ struct ChainOp
         Copy,        ///< DMA in -> out, device -> dst_device
         Kernel,      ///< accelerator kernel on `device`: out = fn(in)
         Restructure, ///< DRX pipeline on `device`: kernels applied
-                     ///< in order (fusable, see ChainOptions::fuse)
+                     ///< in order
     };
 
     Kind kind = Kind::Copy;
@@ -63,18 +63,15 @@ struct ChainOp
     DeviceId dst_device = 0; ///< Copy only: destination device
     BufferId in = 0;
     BufferId out = 0;
-    /// Restructure only: the restructuring pipeline. Adjacent kernels
-    /// whose streams line up are fused into one compiled plan when
-    /// ChainOptions::fuse is set (illegal fusions fall back to
-    /// running the parts back-to-back; see drx::canFusePlans).
+    /// Restructure only: the restructuring pipeline. Each kernel's
+    /// cached plan runs back to back on the DRX in one attempt, and
+    /// the descriptor settles once, after the last.
     std::vector<restructure::Kernel> kernels;
 };
 
 /** Per-chain execution knobs. */
 struct ChainOptions
 {
-    /// Fuse each Restructure op's kernels into one plan when legal.
-    bool fuse = false;
     /// Engine-level hop CRC: generate at the producer and verify at
     /// the consumer of every Copy descriptor (charged in simulated
     /// time at crc_bytes_per_sec); a mismatch fails the attempt and
@@ -90,7 +87,6 @@ struct DescriptorRecord
     Tick at = 0;                     ///< settle tick (when settled)
     unsigned attempts = 0;           ///< attempts launched
     unsigned crc_mismatches = 0;     ///< hop-CRC failures detected
-    bool fused = false;              ///< ran as one fused DRX plan
 };
 
 namespace detail

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "drx/fusion.hh"
 #include "integrity/integrity.hh"
 #include "restructure/cpu_exec.hh"
 #include "trace/trace.hh"
@@ -35,7 +34,7 @@ Core::invalid(const Platform &p, const ChainOp &op)
 }
 
 Core::Plans
-Core::plan(Platform &p, const ChainOp &op, bool fuse)
+Core::plan(Platform &p, const ChainOp &op)
 {
     // Planned once per submission: every attempt - and every later
     // submission with the same kernel structure, through the cache -
@@ -44,21 +43,8 @@ Core::plan(Platform &p, const ChainOp &op, bool fuse)
     if (op.kind != ChainOp::Kind::Restructure)
         return plans;
     const drx::DrxConfig &cfg = p._devices[op.device].machine->config();
-    const bool cached = p.drxCache().config().enabled;
-    if (fuse && op.kernels.size() > 1) {
-        drx::FusedChainPlan fp = drx::planFusedChain(
-            op.kernels, cfg, cached ? &p.drxCache() : nullptr);
-        if (fp.verdict.ok && fp.compiled) {
-            plans.push_back(std::move(fp.compiled));
-            return plans;
-        }
-    }
-    for (const restructure::Kernel &k : op.kernels) {
-        plans.push_back(cached
-                            ? p.drxCache().lookup(k, cfg).compiled
-                            : std::make_shared<const drx::CompiledKernel>(
-                                  drx::planKernel(k, cfg)));
-    }
+    for (const restructure::Kernel &k : op.kernels)
+        plans.push_back(p.drxCache().lookup(k, cfg).compiled);
     return plans;
 }
 
@@ -158,19 +144,19 @@ Core::attempt(Context &ctx, const ChainOp &op, const Plans &plans,
         return;
       }
       case ChainOp::Kind::Restructure: {
-        // The plans run back to back on the machine; a fused plan runs
-        // under its first kernel's name.
+        // The plans run back to back on the machine, and so do their
+        // trace spans: one cursor carries on from plan to plan.
         d.machine->resetAlloc();
-        const bool fused = plans.size() < op.kernels.size();
         drx::RunResult total;
+        Tick trace_at = p.now();
         Bytes cur;
         const Bytes *in = &ctx.read(op.in);
         for (std::size_t j = 0; j < plans.size(); ++j) {
             const auto installed = drx::installPlan(plans[j], *d.machine);
             Bytes out;
-            const drx::RunResult res = drx::runPlanOnDrx(
-                op.kernels[fused ? 0 : j].name, *installed, *in,
-                *d.machine, &out, p.now());
+            const drx::RunResult res =
+                drx::runPlanOnDrx(op.kernels[j].name, *installed, *in,
+                                  *d.machine, &out, trace_at);
             total += res;
             if (res.faulted) {
                 // The machine trapped: charge the trap handling on the

@@ -39,8 +39,8 @@ struct Core
     /** Receives a submission's terminal status at device-settle time. */
     using SettleFn = std::function<void(Status)>;
 
-    /** Compiled plans of a Restructure descriptor: one fused plan, or
-     *  one per kernel (empty for the other kinds). */
+    /** Compiled plans of a Restructure descriptor, one per kernel, run
+     *  back to back in one attempt (empty for the other kinds). */
     using Plans = std::vector<std::shared_ptr<const drx::CompiledKernel>>;
 
     /**
@@ -68,9 +68,9 @@ struct Core
     /** @return why @p op cannot run on @p p, or nullptr when it can. */
     static const char *invalid(const Platform &p, const ChainOp &op);
 
-    /** Plan a Restructure descriptor through the compiled-kernel cache
-     *  (when enabled), as one fused plan when @p fuse and legal. */
-    static Plans plan(Platform &p, const ChainOp &op, bool fuse);
+    /** Plan a Restructure descriptor's kernels through the platform's
+     *  compiled-kernel cache. */
+    static Plans plan(Platform &p, const ChainOp &op);
 
     /**
      * Launch one attempt of @p op's device work (counted on its

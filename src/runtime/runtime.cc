@@ -366,7 +366,7 @@ CommandQueue::enqueue(ChainOp op)
     if (const char *why = Core::invalid(p, op))
         dmx_fatal("enqueue on '%s': the command %s",
                   p.deviceName(_device).c_str(), why);
-    Core::Plans plans = Core::plan(p, op, false);
+    Core::Plans plans = Core::plan(p, op);
     Event ev;
     ev._state = std::make_shared<Event::State>();
     // Every enqueued copy leg rings its own doorbell (no shared flag),

@@ -464,11 +464,9 @@ class Platform
     // ------------------------------------------------- performance
 
     /**
-     * The platform's compiled-kernel cache. One instance is safe for
-     * every queue: commands execute on the single simulated event-loop
-     * thread. Reconfigure it in place with drxCache().setConfig()
-     * (cached plans stay valid: they are immutable and keyed by kernel
-     * structure); with enabled = false every submission plans afresh.
+     * The platform's compiled-kernel cache, through which every DRX
+     * submission is planned. One instance is safe for every queue:
+     * commands execute on the single simulated event-loop thread.
      */
     drx::ProgramCache &drxCache() { return _drx_cache; }
 

@@ -1,23 +1,24 @@
 /**
  * @file
  * Differential chain-equivalence harness for descriptor-chained DMA
- * submission and the DRX fusion pass (DESIGN.md 7g).
+ * submission and same-device stage fusion (DESIGN.md 7g).
  *
  * The property under test: for ANY well-formed chain, the descriptor-
  * chained submission (integrity::ChainMode::Descriptor) and the fused
- * variant (cfg.fuse) deliver bytes identical to the legacy per-hop
- * loop, with stats consistent with it - fewer driver round trips,
- * never more simulated time - and this holds at every --jobs level,
- * under randomized fault plans, and under randomized corruption plans
- * with end-to-end protection on. Fusion-legality rejections (gather
- * stages, shape-mismatched streams, mid-chain placement changes,
- * DRAM footprint) are pinned alongside, plus the descriptor-fetch
- * golden ticks at the fabric layer and the reuse of cached part plans
- * by fusion.
+ * variant (cfg.fuse: adjacent same-device DRX stages grouped into one
+ * Restructure descriptor) deliver bytes identical to the legacy
+ * per-hop loop, with stats consistent with it - fewer driver round
+ * trips, never more simulated time - and this holds at every --jobs
+ * level, under randomized fault plans, and under randomized corruption
+ * plans with end-to-end protection on. Which stages fusion groups is
+ * pinned alongside, plus the trace spans of a multi-kernel Restructure
+ * descriptor and the descriptor-fetch golden ticks at the fabric
+ * layer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -28,19 +29,18 @@
 #include <vector>
 
 #include "driver/interrupts.hh"
-#include "drx/cache.hh"
 #include "drx/compiler.hh"
-#include "drx/fusion.hh"
 #include "exec/scenario.hh"
 #include "fault/fault.hh"
 #include "integrity/chain.hh"
 #include "integrity/checksum.hh"
 #include "integrity/integrity.hh"
 #include "pcie/fabric.hh"
-#include "restructure/catalog.hh"
+#include "restructure/ir.hh"
 #include "runtime/chain.hh"
 #include "runtime/runtime.hh"
 #include "sim/eventq.hh"
+#include "trace/trace.hh"
 #include "util_random_chain.hh"
 
 using namespace dmx;
@@ -58,14 +58,12 @@ namespace
  * chain eliminates then show up in the makespan.
  */
 ChainReport
-runSeedChain(std::uint64_t seed, const ChainConfig &cfg,
-             bool allow_gather = true)
+runSeedChain(std::uint64_t seed, const ChainConfig &cfg)
 {
     runtime::Platform plat;
     fault::FaultPlan benign;
     plat.setFaultPlan(&benign);
-    const RuntimeChainSpec spec =
-        randomRuntimeChain(plat, seed, allow_gather);
+    const RuntimeChainSpec spec = randomRuntimeChain(plat, seed);
     return runChain(plat, spec.stages, spec.input, cfg);
 }
 
@@ -83,7 +81,7 @@ digest(const ChainReport &r)
     return os.str();
 }
 
-/** Two-stage DRX kernels chained shape-compatibly for fusion tests. */
+/** One-stage affine DRX kernel (a Scale map) over @p in. */
 restructure::Kernel
 affineKernel(const char *name, const restructure::BufferDesc &in,
              float scale)
@@ -93,6 +91,20 @@ affineKernel(const char *name, const restructure::BufferDesc &in,
     k.input = in;
     k.stages.push_back(
         restructure::mapStage({{restructure::MapFn::Scale, scale}}));
+    return k;
+}
+
+/** One-stage DRX kernel reversing @p in through an index table. */
+restructure::Kernel
+reverseGatherKernel(const char *name, const restructure::BufferDesc &in)
+{
+    restructure::Kernel k;
+    k.name = name;
+    k.input = in;
+    auto idx = std::make_shared<std::vector<std::uint32_t>>(in.elems());
+    for (std::size_t i = 0; i < idx->size(); ++i)
+        (*idx)[i] = static_cast<std::uint32_t>(idx->size() - 1 - i);
+    k.stages.push_back(restructure::gatherStage(std::move(idx), in.shape));
     return k;
 }
 
@@ -289,35 +301,17 @@ TEST(ChainEquiv, RandomCorruptionPlansNeverEscapeUnderProtection)
     EXPECT_GT(total_mismatches, 0u);
 }
 
-// ------------------------------------------------ fusion legality pins
+// ------------------------------------------------- fusion grouping pins
 
-TEST(FusionLegality, GatherStageIsRejectedButStillRuns)
+TEST(FusionLegality, GatherStageGroupsWithAffineAndRunsBackToBack)
 {
+    // Fusion groups adjacent same-device DRX stages whatever they
+    // compute: a Gather kernel joins an affine one in one Restructure
+    // descriptor, whose plans run back to back, and the chain still
+    // delivers the per-hop bytes.
     const restructure::BufferDesc in{DType::F32, {8, 16}};
     const restructure::Kernel affine = affineKernel("aff", in, 1.5f);
-    restructure::Kernel gather;
-    gather.name = "perm";
-    gather.input = in;
-    {
-        auto idx =
-            std::make_shared<std::vector<std::uint32_t>>(in.elems());
-        for (std::size_t i = 0; i < idx->size(); ++i)
-            (*idx)[i] =
-                static_cast<std::uint32_t>(idx->size() - 1 - i);
-        gather.stages.push_back(
-            restructure::gatherStage(std::move(idx), in.shape));
-    }
-
-    const drx::DrxConfig cfg;
-    const auto pa = drx::planKernel(affine, cfg);
-    const auto pg = drx::planKernel(gather, cfg);
-    EXPECT_FALSE(drx::canFusePlans(pa, pg, cfg).ok);
-    EXPECT_NE(drx::canFusePlans(pa, pg, cfg).reason.find("gather"),
-              std::string::npos);
-    EXPECT_FALSE(drx::canFusePlans(pg, pa, cfg).ok);
-
-    // End to end: the fused run silently falls back to back-to-back
-    // parts and still delivers legacy-identical bytes.
+    const restructure::Kernel gather = reverseGatherKernel("perm", in);
     const auto run = [&](ChainConfig ccfg) {
         runtime::Platform plat;
         const auto d = plat.addDrx("drx0", {});
@@ -335,31 +329,12 @@ TEST(FusionLegality, GatherStageIsRejectedButStillRuns)
     fused.mode = ChainMode::Descriptor;
     fused.fuse = true;
     const ChainReport legacy = run(ChainConfig{});
-    const ChainReport attempt = run(fused);
+    const ChainReport grouped = run(fused);
     ASSERT_TRUE(legacy.ok);
-    ASSERT_TRUE(attempt.ok);
-    EXPECT_EQ(attempt.output, legacy.output);
-    EXPECT_EQ(attempt.fused_stages, 0u);
-}
-
-TEST(FusionLegality, ShapeMismatchedStreamsAreRejected)
-{
-    const drx::DrxConfig cfg;
-    const restructure::Kernel a =
-        affineKernel("a", {DType::F32, {8, 16}}, 2.0f);
-    const restructure::Kernel b =
-        affineKernel("b", {DType::F32, {8, 24}}, 0.5f);
-    const auto fp = drx::planFusedChain({a, b}, cfg);
-    EXPECT_FALSE(fp.verdict.ok);
-    EXPECT_EQ(fp.compiled, nullptr);
-    EXPECT_NE(fp.verdict.reason.find("mismatch"), std::string::npos);
-
-    // Dtype mismatch at equal byte count is rejected too.
-    restructure::Kernel c = affineKernel("c", {DType::F32, {8, 16}}, 1.0f);
-    c.input.dtype = DType::I32;
-    EXPECT_FALSE(
-        drx::canFusePlans(drx::planKernel(a, cfg),
-                          drx::planKernel(c, cfg), cfg).ok);
+    ASSERT_TRUE(grouped.ok);
+    EXPECT_EQ(grouped.output, legacy.output);
+    EXPECT_EQ(grouped.stages_run, 2u);
+    EXPECT_EQ(grouped.fused_stages, 1u);
 }
 
 TEST(FusionLegality, MidChainPlacementChangeBlocksFusion)
@@ -386,7 +361,7 @@ TEST(FusionLegality, MidChainPlacementChangeBlocksFusion)
         return runChain(plat, stages, input, cfg);
     };
 
-    // Positive control: same device fuses the pair into one plan.
+    // Positive control: on one device the pair shares a descriptor.
     const ChainReport same = run(true);
     ASSERT_TRUE(same.ok);
     EXPECT_EQ(same.fused_stages, 1u);
@@ -398,108 +373,6 @@ TEST(FusionLegality, MidChainPlacementChangeBlocksFusion)
     EXPECT_EQ(split.fused_stages, 0u);
     EXPECT_EQ(split.hops_run, 1u);
     EXPECT_EQ(split.output, same.output);
-}
-
-TEST(FusionLegality, ProducerConstantsAboveOutputAreRejected)
-{
-    // The consumer's shifted footprint lands at [output_addr,
-    // output_addr + b.dram_bytes): a producer constant placed above
-    // its output region would be clobbered at install time, so
-    // legality must reject such a plan even when everything else
-    // lines up.
-    const drx::DrxConfig cfg;
-    const restructure::Kernel a =
-        affineKernel("a", {DType::F32, {8, 16}}, 2.0f);
-    const restructure::Kernel b =
-        affineKernel("b", {DType::F32, {8, 16}}, 0.5f);
-    drx::CompiledKernel pa = drx::planKernel(a, cfg);
-    const drx::CompiledKernel pb = drx::planKernel(b, cfg);
-    ASSERT_TRUE(drx::canFusePlans(pa, pb, cfg).ok);
-
-    pa.consts.push_back({pa.output_addr + 64, {0xAB, 0xCD}});
-    const auto v = drx::canFusePlans(pa, pb, cfg);
-    EXPECT_FALSE(v.ok);
-    EXPECT_NE(v.reason.find("constants above"), std::string::npos);
-
-    // A real-world producer that trips a legality wall: the banded
-    // MatVec lowering of the mel filter bank gathers its bands through
-    // the hardware Gather, so a mel-spectrogram producer is rejected
-    // by the gather rule before its constants are even considered.
-    const restructure::Kernel mel = restructure::melSpectrogram(8, 64, 16);
-    const auto pm = drx::planKernel(mel, cfg);
-    const restructure::Kernel after =
-        affineKernel("after", mel.output(), 3.0f);
-    const auto pn = drx::planKernel(after, cfg);
-    const auto vm = drx::canFusePlans(pm, pn, cfg);
-    EXPECT_FALSE(vm.ok);
-    EXPECT_NE(vm.reason.find("gather"), std::string::npos);
-}
-
-TEST(FusionLegality, FusedFootprintBeyondDramIsRejected)
-{
-    drx::DrxConfig cfg;
-    const restructure::Kernel a =
-        affineKernel("a", {DType::F32, {8, 16}}, 2.0f);
-    const restructure::Kernel b =
-        affineKernel("b", {DType::F32, {8, 16}}, 0.5f);
-    const auto pa = drx::planKernel(a, cfg);
-    const auto pb = drx::planKernel(b, cfg);
-    ASSERT_TRUE(drx::canFusePlans(pa, pb, cfg).ok);
-
-    // Shrink the device DRAM to one byte under the fused footprint:
-    // each part still fits alone, the fusion must be rejected.
-    const std::uint64_t fused_bytes =
-        std::max(pa.dram_bytes, pa.output_addr + pb.dram_bytes);
-    cfg.dram_bytes = fused_bytes - 1;
-    ASSERT_GE(cfg.dram_bytes, pa.dram_bytes);
-    ASSERT_GE(cfg.dram_bytes, pb.dram_bytes);
-    const auto v = drx::canFusePlans(pa, pb, cfg);
-    EXPECT_FALSE(v.ok);
-    EXPECT_NE(v.reason.find("footprint"), std::string::npos);
-}
-
-TEST(FusionLegality, FusedChainReusesCachedPartPlans)
-{
-    drx::DrxCacheConfig cc;
-    cc.enabled = true;
-    drx::ProgramCache cache(cc);
-    const drx::DrxConfig cfg;
-    const std::vector<restructure::Kernel> parts{
-        affineKernel("a", {DType::F32, {8, 16}}, 2.0f),
-        affineKernel("b", {DType::F32, {8, 16}}, 0.5f)};
-
-    const auto first = drx::planFusedChain(parts, cfg, &cache);
-    ASSERT_TRUE(first.verdict.ok);
-    ASSERT_NE(first.compiled, nullptr);
-    const auto second = drx::planFusedChain(parts, cfg, &cache);
-    ASSERT_TRUE(second.verdict.ok);
-    ASSERT_NE(second.compiled, nullptr);
-
-    // The cache holds the part plans only: the first call plans both
-    // parts, the second reuses them and fuses again.
-    EXPECT_EQ(cache.counters().compile_misses, 2u);
-    EXPECT_EQ(cache.counters().compile_hits, 2u);
-
-    // Fusing cached part plans gives the cache-free fused plan. The
-    // disassembly carries every stream base, which fusion shifts.
-    const auto ref = drx::planFusedChain(parts, cfg);
-    ASSERT_TRUE(ref.verdict.ok);
-    const drx::CompiledKernel &want = *ref.compiled;
-    for (const auto &fp : {first, second}) {
-        const drx::CompiledKernel &got = *fp.compiled;
-        EXPECT_EQ(got.input_addr, want.input_addr);
-        EXPECT_EQ(got.output_addr, want.output_addr);
-        EXPECT_EQ(got.dram_bytes, want.dram_bytes);
-        ASSERT_EQ(got.programs.size(), want.programs.size());
-        for (std::size_t i = 0; i < want.programs.size(); ++i)
-            EXPECT_EQ(got.programs[i].disassemble(),
-                      want.programs[i].disassemble());
-        ASSERT_EQ(got.consts.size(), want.consts.size());
-        for (std::size_t i = 0; i < want.consts.size(); ++i) {
-            EXPECT_EQ(got.consts[i].addr, want.consts[i].addr);
-            EXPECT_EQ(got.consts[i].bytes, want.consts[i].bytes);
-        }
-    }
 }
 
 // -------------------------------------------- fabric descriptor ticks
@@ -540,6 +413,65 @@ TEST(ChainDescriptor, FollowOnDescriptorsPayFetchNotSetup)
     ASSERT_GT(params.dma_setup, params.desc_fetch_latency);
     EXPECT_EQ(follow + params.dma_setup - params.desc_fetch_latency,
               first);
+}
+
+TEST(ChainDescriptor, MultiKernelRestructureSpansTileInPlanOrder)
+{
+    // A Restructure descriptor runs its kernels' plans back to back in
+    // one attempt, so its DRX program spans must follow each other in
+    // plan order and tile [submit, settle) exactly, with no plan's
+    // spans starting on top of an earlier plan's.
+    const restructure::BufferDesc in{DType::F32, {16, 32}};
+    const std::vector<restructure::Kernel> kernels{
+        affineKernel("pre", in, 2.0f), reverseGatherKernel("perm", in),
+        affineKernel("post", in, 0.5f)};
+    std::vector<std::string> want;
+    for (const restructure::Kernel &k : kernels)
+        for (const drx::Program &prog :
+             drx::planKernel(k, drx::DrxConfig{}).programs)
+            want.push_back(prog.name);
+
+    trace::TraceBuffer tb;
+    runtime::Platform plat;
+    const auto d = plat.addDrx("drx0", {});
+    runtime::Context ctx = plat.createContext();
+    runtime::ChainOp op;
+    op.kind = runtime::ChainOp::Kind::Restructure;
+    op.device = d;
+    op.in = ctx.createBuffer(runtime::Bytes(in.bytes(), 0x3f));
+    op.out = ctx.createBuffer();
+    op.kernels = kernels;
+    // An earlier command moves the clock, so the chain submits at a
+    // nonzero tick.
+    ctx.queue(d).enqueueRestructure(kernels[0], op.in, ctx.createBuffer());
+    ctx.finish();
+    const Tick submit = plat.now();
+    ASSERT_GT(submit, 0u);
+
+    runtime::ChainEvent ev;
+    {
+        trace::TraceSession session(tb);
+        ev = runtime::enqueueChain(ctx, {op});
+        ctx.finish();
+    }
+    ASSERT_TRUE(ev.ok());
+
+    std::vector<const trace::Span *> spans;
+    for (const trace::Span &sp : tb.spans())
+        if (sp.cat == trace::Category::Drx &&
+            tb.stringAt(sp.track) == "drx")
+            spans.push_back(&sp);
+    ASSERT_EQ(spans.size(), want.size());
+    Tick at = submit;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(tb.stringAt(spans[i]->name), want[i]);
+        EXPECT_EQ(spans[i]->begin, at);
+        EXPECT_GT(spans[i]->end, spans[i]->begin);
+        at = spans[i]->end;
+    }
+    EXPECT_EQ(at, ev.completeTime());
+    EXPECT_NE(std::find(want.begin(), want.end(), "gather"), want.end());
 }
 
 namespace

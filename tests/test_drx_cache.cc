@@ -114,30 +114,6 @@ TEST(DrxCache, CachedMatchesUncachedOverFullCatalog)
     }
 }
 
-TEST(DrxCache, DisabledCacheIsPlainPath)
-{
-    const Kernel kernel = restructure::videoFrameRestructure(48, 64, 32);
-    const Bytes input = randomInput(kernel.input, 3);
-
-    DrxMachine plain;
-    Bytes plain_out;
-    const RunResult ref = runKernelOnDrx(kernel, input, plain, &plain_out);
-
-    ProgramCache cache({.enabled = false});
-    DrxMachine machine;
-    Bytes out;
-    for (int i = 0; i < 3; ++i) {
-        machine.resetAlloc();
-        const RunResult r =
-            runKernelOnDrxCached(kernel, input, machine, &out, 0, &cache);
-        expectSameResult(r, ref);
-        EXPECT_EQ(out, plain_out);
-    }
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.counters().compile_hits, 0u);
-    EXPECT_EQ(cache.counters().compile_misses, 0u);
-}
-
 TEST(DrxCache, RebasedInstallMatchesBaseZero)
 {
     const Kernel kernel = restructure::melSpectrogram(16, 65, 24);
@@ -204,25 +180,36 @@ TEST(DrxCache, HashSeesWeightContents)
 
 TEST(DrxCache, LruEvictsLeastRecentlyUsed)
 {
-    DrxCacheConfig cfg;
-    cfg.capacity = 2;
-    ProgramCache cache(cfg);
+    // capacity + 1 distinct kernels: one Scale map each, told apart by
+    // its factor.
+    const auto kernel = [](std::size_t i) {
+        Kernel k;
+        k.name = "scale" + std::to_string(i);
+        k.input = {DType::F32, {4, 16}};
+        k.stages.push_back(restructure::mapStage(
+            {{restructure::MapFn::Scale, 1.0f + static_cast<float>(i)}}));
+        return k;
+    };
+    constexpr std::size_t cap = ProgramCache::capacity;
+    static_assert(cap == 64);
+    ProgramCache cache;
     const DrxConfig hw;
 
-    const Kernel a = restructure::videoFrameRestructure(48, 64, 32);
-    const Kernel b = restructure::textRecordRestructure(4096, 64, 80);
-    const Kernel c = restructure::vectorReduction(4, 512);
-
-    EXPECT_FALSE(cache.lookup(a, hw).hit);
-    EXPECT_FALSE(cache.lookup(b, hw).hit);
-    EXPECT_TRUE(cache.lookup(a, hw).hit); // refresh a; b is now LRU
-    EXPECT_FALSE(cache.lookup(c, hw).hit); // evicts b
-    EXPECT_EQ(cache.size(), 2u);
+    for (std::size_t i = 0; i < cap; ++i)
+        EXPECT_FALSE(cache.lookup(kernel(i), hw).hit);
+    EXPECT_EQ(cache.size(), cap);
+    EXPECT_EQ(cache.counters().evictions, 0u);
+    EXPECT_TRUE(cache.lookup(kernel(0), hw).hit); // refresh 0; 1 is LRU
+    EXPECT_FALSE(cache.lookup(kernel(cap), hw).hit); // evicts 1
+    EXPECT_EQ(cache.size(), cap);
     EXPECT_EQ(cache.counters().evictions, 1u);
 
-    EXPECT_TRUE(cache.lookup(a, hw).hit);
-    EXPECT_FALSE(cache.lookup(b, hw).hit); // b was evicted: miss again
-    EXPECT_EQ(cache.counters().evictions, 2u); // ... which evicted c
+    EXPECT_TRUE(cache.lookup(kernel(0), hw).hit);
+    EXPECT_TRUE(cache.lookup(kernel(cap), hw).hit);
+    EXPECT_FALSE(cache.lookup(kernel(1), hw).hit); // evicted: miss again
+    EXPECT_EQ(cache.counters().evictions, 2u);     // ... which evicted 2
+    EXPECT_TRUE(cache.lookup(kernel(3), hw).hit);
+    EXPECT_FALSE(cache.lookup(kernel(2), hw).hit);
 }
 
 TEST(DrxCache, ClearDropsEntriesKeepsCounters)
@@ -331,6 +318,10 @@ TEST(DrxCache, RandomizedFaultPlanIdenticalOnAndOff)
 
 TEST(DrxCacheRuntime, FaultRetryIdenticalWithCacheOnAndOff)
 {
+    // A faulted submission whose plan comes out of a warmed cache
+    // retries exactly like the same submission planned on a cold
+    // platform: same retries, settle tick relative to submission and
+    // output bytes.
     const Kernel kernel = restructure::melSpectrogram(8, 64, 16);
     std::vector<float> vals(kernel.input.elems());
     for (std::size_t i = 0; i < vals.size(); ++i)
@@ -338,34 +329,36 @@ TEST(DrxCacheRuntime, FaultRetryIdenticalWithCacheOnAndOff)
     Bytes input(kernel.input.bytes());
     std::memcpy(input.data(), vals.data(), input.size());
 
-    const auto run = [&](bool cache_on, fault::FaultPlan &plan) {
+    const auto run = [&](bool warm) {
+        fault::FaultPlan plan;
+        plan.scriptMachine(0, fault::MachineAction::Fault);
         runtime::Platform plat;
-        DrxCacheConfig cc;
-        cc.enabled = cache_on;
-        plat.drxCache().setConfig(cc);
         const runtime::DeviceId drx = plat.addDrx("drx0", {});
-        plat.setFaultPlan(&plan);
         runtime::Context ctx = plat.createContext();
         const runtime::BufferId in = ctx.createBuffer(input);
+        if (warm) {
+            ctx.queue(drx).enqueueRestructure(kernel, in,
+                                              ctx.createBuffer());
+            ctx.finish();
+        }
+        plat.setFaultPlan(&plan);
         const runtime::BufferId out = ctx.createBuffer();
+        const Tick submit = plat.now();
         runtime::Event ev = ctx.queue(drx).enqueueRestructure(kernel, in,
                                                               out);
         ctx.finish();
-        return std::tuple(ev.ok(), ev.retries(), ev.completeTime(),
-                          ctx.read(out));
+        EXPECT_EQ(plat.drxCache().counters().compile_hits, warm ? 1u : 0u);
+        EXPECT_EQ(plat.drxCache().counters().compile_misses, 1u);
+        return std::tuple(ev.ok(), ev.retries(),
+                          ev.completeTime() - submit, ctx.read(out));
     };
 
-    fault::FaultPlan plan_on;
-    plan_on.scriptMachine(0, fault::MachineAction::Fault);
-    fault::FaultPlan plan_off;
-    plan_off.scriptMachine(0, fault::MachineAction::Fault);
-
-    const auto on = run(true, plan_on);
-    const auto off = run(false, plan_off);
-    EXPECT_TRUE(std::get<0>(on));
-    EXPECT_EQ(std::get<1>(on), 1u);
-    EXPECT_EQ(on, off); // same status, retries, finish tick and bytes
-    EXPECT_EQ(std::get<3>(on),
+    const auto hit = run(true);
+    const auto cold = run(false);
+    EXPECT_TRUE(std::get<0>(hit));
+    EXPECT_EQ(std::get<1>(hit), 1u);
+    EXPECT_EQ(hit, cold); // same status, retries, settle tick and bytes
+    EXPECT_EQ(std::get<3>(hit),
               restructure::executeOnCpu(kernel, input));
 }
 

@@ -86,16 +86,15 @@ struct RuntimeChainSpec
  * same-type sibling as its failover alternate), and 3-6 stages mix
  * accelerator kernels with single-stage DRX restructure kernels whose
  * shapes line up along the chain. Adjacent stages sometimes share a
- * device (so descriptor-mode fusion has legal work), and - when
- * @p allow_gather - an occasional random-permutation Gather stage
- * exercises the fusion legality rejection.
+ * device (so descriptor-mode fusion groups DRX stages into one
+ * Restructure descriptor), and an occasional random-permutation Gather
+ * stage adds index-table addressing, grouped like any other stage.
  *
  * Deterministic in @p seed: building the same seed on two fresh
  * platforms yields identical device ids, stages and input bytes.
  */
 inline RuntimeChainSpec
-randomRuntimeChain(runtime::Platform &plat, std::uint64_t seed,
-                   bool allow_gather = true)
+randomRuntimeChain(runtime::Platform &plat, std::uint64_t seed)
 {
     Rng rng(seed * 9176 + 101);
     const runtime::DeviceId a0 =
@@ -129,7 +128,7 @@ randomRuntimeChain(runtime::Platform &plat, std::uint64_t seed,
     const unsigned k = 3 + static_cast<unsigned>(rng.below(4));
     for (unsigned s = 0; s < k; ++s) {
         // Half the time stay on the previous device: adjacent
-        // same-device DRX stages are the fusion candidates.
+        // same-device DRX stages are what fusion groups.
         const runtime::DeviceId dev =
             rng.below(2) ? prev : devices[rng.below(4)];
         prev = dev;
@@ -142,7 +141,7 @@ randomRuntimeChain(runtime::Platform &plat, std::uint64_t seed,
             kern.name = "rk" + std::to_string(seed) + "_" +
                         std::to_string(s);
             kern.input = desc;
-            switch (rng.below(allow_gather ? 6 : 5)) {
+            switch (rng.below(6)) {
               case 0:
                 kern.stages.push_back(restructure::mapStage(
                     {{restructure::MapFn::Scale,
@@ -164,8 +163,8 @@ randomRuntimeChain(runtime::Platform &plat, std::uint64_t seed,
                 kern.stages.push_back(restructure::reduceStage());
                 break;
               default: {
-                // Random permutation gather: executes fine, but its
-                // data-dependent addressing must block fusion.
+                // Random permutation gather: data-dependent
+                // addressing through an index table.
                 auto idx = std::make_shared<std::vector<std::uint32_t>>(
                     desc.elems());
                 for (std::size_t i = 0; i < idx->size(); ++i)
