@@ -287,7 +287,7 @@ main(int argc, char **argv)
 
     std::printf("Descriptor chaining pays one driver round trip per "
                 "chain instead of one per command; fusion additionally\n"
-                "merges adjacent same-device DRX stages into one "
-                "compiled plan (identical bytes, fewer installs).\n");
+                "groups adjacent same-device DRX stages into one "
+                "descriptor, whose cached plans run back to back.\n");
     return report.write();
 }

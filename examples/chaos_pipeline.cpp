@@ -91,8 +91,11 @@ struct Pipeline
                     float acc = 0;
                     for (std::size_t m = 0; m < mels; ++m)
                         acc += feats[r * mels + m];
+                    // Narrow through uint32: |acc| * 255 exceeds a
+                    // byte, and a float cast out of range is undefined.
                     out[r] = static_cast<std::uint8_t>(
-                        std::fabs(acc) * 255.0f) & 0x3;
+                        static_cast<std::uint32_t>(std::fabs(acc) * 255.0f) &
+                        0x3);
                 }
                 ops.flops += feats.size();
                 ops.bytes_read += in.size();

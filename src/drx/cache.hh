@@ -7,11 +7,15 @@
  * app-model builds that re-time the same reduced kernels, the runtime's
  * retries and repeated submissions of one kernel -- can share one
  * lowered plan instead of re-running the compiler. ProgramCache
- * memoizes planKernel() output keyed by a structural hash of
- * (kernel, DrxConfig), with an LRU bound and hit/miss/eviction
- * counters. It memoizes nothing else: every run installs the plan and
- * interprets it through runPlanOnDrx(), so outputs and simulated
- * timing are the uncached path's by construction.
+ * memoizes planKernel() output for each (kernel, DrxConfig), with an
+ * LRU bound and hit/miss/eviction counters. There is no hash: a lookup
+ * compares (kernel, DrxConfig) with each of at most
+ * ProgramCache::capacity entries by structure. Tables shared by
+ * pointer settle a hit without reading them, and a different kernel is
+ * rejected at its first differing field. The cache memoizes nothing
+ * else: every run installs the plan and interprets it through
+ * runPlanOnDrx(), so outputs and simulated timing are the uncached
+ * path's by construction.
  *
  * Determinism: the default cache is thread-local (ProgramCache::
  * process()), so parallel scenario workers never share mutable state
@@ -29,7 +33,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "drx/compiler.hh"
 #include "drx/machine.hh"
@@ -57,17 +61,14 @@ struct CacheCounters
 };
 
 /**
- * Structural hash of (kernel, config): covers the input descriptor,
- * every stage field including weight and index table contents, and
- * every DrxConfig field -- everything planKernel() can observe. The
- * kernel name is deliberately excluded (it only labels diagnostics and
- * trace spans carried by the Program, which the stored kernel copy
- * disambiguates).
+ * Field-by-field equality on everything planKernel() can observe: the
+ * input descriptor and every stage field, weight and index table
+ * contents included (tables shared by pointer are equal without being
+ * read). Floats compare by bit pattern, since -0.0 and +0.0 constants
+ * give different output bytes. The kernel name is deliberately
+ * excluded: it only labels diagnostics and trace spans, which take the
+ * caller's name, not the cached one.
  */
-std::uint64_t kernelStructuralHash(const restructure::Kernel &kernel,
-                                   const DrxConfig &cfg);
-
-/** Field-by-field equality on everything kernelStructuralHash covers. */
 bool kernelStructurallyEqual(const restructure::Kernel &a,
                              const restructure::Kernel &b);
 
@@ -125,15 +126,13 @@ class ProgramCache
   private:
     struct Entry
     {
-        restructure::Kernel kernel; ///< for collision verification
+        restructure::Kernel kernel; ///< what the plan was compiled from
         DrxConfig cfg;
         std::shared_ptr<const CompiledKernel> compiled;
         std::uint64_t last_used = 0; ///< LRU clock value
     };
 
-    void evictIfNeeded();
-
-    std::unordered_map<std::uint64_t, Entry> _entries;
+    std::vector<Entry> _entries; ///< at most capacity, in no order
     std::uint64_t _clock = 0;
     CacheCounters _counters;
 };

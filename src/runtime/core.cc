@@ -78,14 +78,15 @@ Core::attempt(Context &ctx, const ChainOp &op, const Plans &plans,
             }
             if (programmed)
                 *programmed = true;
-            c->write(dst, c->read(src));
+            c->share(dst, src);
             Platform &plat = c->platform();
             if (plat._integrity) {
                 // Silent payload corruption: the DMA completed and
                 // reports success, but the delivered copy differs from
                 // the source by one flipped bit. Only an end-to-end
                 // check can catch this - the flip is deliberately
-                // invisible to the command status.
+                // invisible to the command status. It flips a private
+                // copy, so the source keeps its bytes.
                 const Bytes &got = c->read(dst);
                 const auto act = plat._integrity->onPayload(
                     static_cast<std::uint64_t>(got.size()));

@@ -322,7 +322,7 @@ Context::Context(Platform &p) : _platform(&p)
 BufferId
 Context::createBuffer(Bytes data)
 {
-    _buffers.push_back(std::move(data));
+    _buffers.push_back(std::make_shared<const Bytes>(std::move(data)));
     return _buffers.size() - 1;
 }
 
@@ -331,7 +331,7 @@ Context::read(BufferId id) const
 {
     if (id >= _buffers.size())
         dmx_fatal("Context::read: bad buffer id %zu", id);
-    return _buffers[id];
+    return *_buffers[id];
 }
 
 void
@@ -339,7 +339,15 @@ Context::write(BufferId id, Bytes data)
 {
     if (id >= _buffers.size())
         dmx_fatal("Context::write: bad buffer id %zu", id);
-    _buffers[id] = std::move(data);
+    _buffers[id] = std::make_shared<const Bytes>(std::move(data));
+}
+
+void
+Context::share(BufferId dst, BufferId src)
+{
+    if (dst >= _buffers.size() || src >= _buffers.size())
+        dmx_fatal("Context::share: bad buffer id %zu or %zu", dst, src);
+    _buffers[dst] = _buffers[src];
 }
 
 CommandQueue &

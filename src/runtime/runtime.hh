@@ -250,7 +250,16 @@ class CommandQueue
     Event _last; ///< in-order chaining: tail of the queue
 };
 
-/** Execution context: buffers plus one command queue per device. */
+/**
+ * Execution context: buffers plus one command queue per device.
+ *
+ * Each buffer holds an immutable payload. A delivered copy points its
+ * destination at the source's payload, as a dma-buf import does, so
+ * no bytes move on the host; a host write(), a device's output or an
+ * injected payload flip replaces that one buffer's payload and leaves
+ * every buffer sharing the old one unchanged. A read() reference
+ * lives until that buffer is next written.
+ */
 class Context
 {
   public:
@@ -265,10 +274,11 @@ class Context
     /** Allocate a buffer and optionally initialize its contents. */
     BufferId createBuffer(Bytes data = {});
 
-    /** @return buffer contents (host view; call finish() first). */
+    /** @return buffer contents (host view; call finish() first),
+     *  valid until @p id is next written. */
     const Bytes &read(BufferId id) const;
 
-    /** Replace buffer contents from the host. */
+    /** Replace buffer contents from the host (this buffer only). */
     void write(BufferId id, Bytes data);
 
     /** @return the in-order queue of @p dev. */
@@ -300,10 +310,14 @@ class Context
   private:
     friend class Platform;
     friend class CommandQueue;
+    friend struct detail::Core;
     explicit Context(Platform &p);
 
+    /** Deliver a copy: point @p dst at @p src's payload. */
+    void share(BufferId dst, BufferId src);
+
     Platform *_platform;
-    std::vector<Bytes> _buffers;
+    std::vector<std::shared_ptr<const Bytes>> _buffers;
     std::vector<std::unique_ptr<CommandQueue>> _queues;
     unsigned _priority = 0;
     std::uint64_t _tag = 0;

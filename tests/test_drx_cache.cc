@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/random.hh"
@@ -135,45 +136,124 @@ TEST(DrxCache, RebasedInstallMatchesBaseZero)
     EXPECT_EQ(out, plain_out);
 }
 
-// --------------------------------------------------- hashing & equality
+// -------------------------------------------------- lookup by structure
 
-TEST(DrxCache, StructuralHashIgnoresNameDiscriminatesStructure)
+namespace
 {
-    const DrxConfig cfg;
-    Kernel a = restructure::melSpectrogram(16, 65, 24);
-    Kernel b = a;
-    b.name = "renamed";
-    EXPECT_EQ(kernelStructuralHash(a, cfg), kernelStructuralHash(b, cfg));
-    EXPECT_TRUE(kernelStructurallyEqual(a, b));
 
-    const Kernel c = restructure::melSpectrogram(16, 65, 32);
-    EXPECT_NE(kernelStructuralHash(a, cfg), kernelStructuralHash(c, cfg));
-    EXPECT_FALSE(kernelStructurallyEqual(a, c));
-
-    DrxConfig other;
-    other.freq_hz *= 2;
-    EXPECT_NE(kernelStructuralHash(a, cfg), kernelStructuralHash(a, other));
-    EXPECT_FALSE(drxConfigEqual(cfg, other));
-    EXPECT_TRUE(drxConfigEqual(cfg, DrxConfig{}));
+/** @p k with every table copied into a fresh shared_ptr. */
+Kernel
+freshTables(Kernel k)
+{
+    for (restructure::Stage &st : k.stages) {
+        if (st.weights)
+            st.weights =
+                std::make_shared<const std::vector<float>>(*st.weights);
+        if (st.indices)
+            st.indices = std::make_shared<const std::vector<std::uint32_t>>(
+                *st.indices);
+    }
+    return k;
 }
 
-TEST(DrxCache, HashSeesWeightContents)
+void
+expectCounters(const ProgramCache &cache, std::uint64_t hits,
+               std::uint64_t misses, std::uint64_t evictions)
 {
-    // Two kernels identical except for one weight value must land on
-    // different keys (same shapes, different constants).
+    EXPECT_EQ(cache.counters().compile_hits, hits);
+    EXPECT_EQ(cache.counters().compile_misses, misses);
+    EXPECT_EQ(cache.counters().evictions, evictions);
+}
+
+} // namespace
+
+TEST(DrxCache, LookupIgnoresNameDiscriminatesStructure)
+{
+    ProgramCache cache;
     const DrxConfig cfg;
-    Kernel a = restructure::melSpectrogram(16, 65, 24);
-    Kernel b = a;
-    for (auto &stage : b.stages) {
-        if (stage.weights && !stage.weights->empty()) {
-            auto w = std::make_shared<std::vector<float>>(*stage.weights);
-            (*w)[0] += 1.0f;
-            stage.weights = std::move(w);
-            break;
+    const Kernel a = restructure::melSpectrogram(16, 65, 24);
+    const ProgramCache::LookupResult first = cache.lookup(a, cfg);
+    EXPECT_FALSE(first.hit);
+
+    // The name only labels diagnostics: a renamed kernel hits.
+    Kernel renamed = a;
+    renamed.name = "renamed";
+    const ProgramCache::LookupResult again = cache.lookup(renamed, cfg);
+    EXPECT_TRUE(again.hit);
+    EXPECT_EQ(again.compiled, first.compiled);
+    EXPECT_TRUE(kernelStructurallyEqual(a, renamed));
+
+    // Another shape misses, and so does another hardware config.
+    const Kernel c = restructure::melSpectrogram(16, 65, 32);
+    EXPECT_FALSE(kernelStructurallyEqual(a, c));
+    EXPECT_FALSE(cache.lookup(c, cfg).hit);
+    DrxConfig other;
+    other.freq_hz *= 2;
+    EXPECT_FALSE(drxConfigEqual(cfg, other));
+    EXPECT_FALSE(cache.lookup(a, other).hit);
+    EXPECT_TRUE(drxConfigEqual(cfg, DrxConfig{}));
+    EXPECT_TRUE(cache.lookup(a, DrxConfig{}).hit);
+
+    expectCounters(cache, 2, 3, 0);
+    EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(DrxCache, LookupSeesTableContents)
+{
+    // Kernels equal but for one table entry have the same shapes, so
+    // only the table contents tell them apart.
+    ProgramCache cache;
+    const DrxConfig cfg;
+    const Kernel mel = restructure::melSpectrogram(16, 65, 24);
+    const Kernel db = restructure::dbColumnarize(256, false);
+    EXPECT_FALSE(cache.lookup(mel, cfg).hit);
+    EXPECT_FALSE(cache.lookup(db, cfg).hit);
+
+    // Equal copies of every table, in fresh shared_ptrs, hit.
+    EXPECT_TRUE(cache.lookup(freshTables(mel), cfg).hit);
+    EXPECT_TRUE(cache.lookup(freshTables(db), cfg).hit);
+    expectCounters(cache, 2, 2, 0);
+
+    // One changed weight misses, and so does a weight whose only
+    // change is the sign of a zero (a plan constant's bytes differ).
+    const auto withWeight = [&](auto &&change) {
+        Kernel k = mel;
+        for (restructure::Stage &st : k.stages) {
+            if (st.weights) {
+                auto w = std::make_shared<std::vector<float>>(*st.weights);
+                change(*w);
+                st.weights = std::move(w);
+            }
+        }
+        return k;
+    };
+    const Kernel bumped =
+        withWeight([](std::vector<float> &w) { w.front() += 1.0f; });
+    EXPECT_FALSE(kernelStructurallyEqual(mel, bumped));
+    EXPECT_FALSE(cache.lookup(bumped, cfg).hit);
+    const Kernel signed_zero = withWeight([](std::vector<float> &w) {
+        const auto z = std::find(w.begin(), w.end(), 0.0f);
+        ASSERT_NE(z, w.end());
+        *z = -*z;
+    });
+    EXPECT_FALSE(kernelStructurallyEqual(mel, signed_zero));
+    EXPECT_FALSE(cache.lookup(signed_zero, cfg).hit);
+
+    // One changed last index misses: the compare reads the whole table.
+    Kernel moved = db;
+    for (restructure::Stage &st : moved.stages) {
+        if (st.indices) {
+            auto idx =
+                std::make_shared<std::vector<std::uint32_t>>(*st.indices);
+            idx->back() = idx->back() ? idx->back() - 1 : 1;
+            st.indices = std::move(idx);
         }
     }
-    EXPECT_NE(kernelStructuralHash(a, cfg), kernelStructuralHash(b, cfg));
-    EXPECT_FALSE(kernelStructurallyEqual(a, b));
+    EXPECT_FALSE(kernelStructurallyEqual(db, moved));
+    EXPECT_FALSE(cache.lookup(moved, cfg).hit);
+
+    expectCounters(cache, 2, 5, 0);
+    EXPECT_EQ(cache.size(), 5u);
 }
 
 // ------------------------------------------------------ LRU eviction

@@ -11,9 +11,11 @@
 #include <string>
 
 #include "apps/benchmarks.hh"
+#include "integrity/integrity.hh"
 #include "kernels/fft.hh"
 #include "restructure/catalog.hh"
 #include "restructure/cpu_exec.hh"
+#include "runtime/batch.hh"
 #include "runtime/chain.hh"
 #include "runtime/runtime.hh"
 
@@ -188,6 +190,95 @@ TEST(Runtime, CopyMovesDataAndTakesTime)
     EXPECT_EQ(ctx.read(dst), payload);
     // 4 MiB over a x16 Gen3 link takes at least ~250 us.
     EXPECT_GT(ev.completeTime(), 200 * tick_per_us);
+}
+
+TEST(Runtime, DeliveredCopySharesItsSourcePayload)
+{
+    // Every submission kind delivers a Copy descriptor the same way: the
+    // destination points at the source's payload, as a dma-buf import
+    // does, and only a host write or an injected flip gives a buffer
+    // bytes of its own.
+    enum class Via { Queue, Chain, Batch };
+    enum class Then { WriteSource, WriteDestination, Flip };
+    for (const Via via : {Via::Queue, Via::Chain, Via::Batch}) {
+        for (const Then then :
+             {Then::WriteSource, Then::WriteDestination, Then::Flip}) {
+            SCOPED_TRACE(testing::Message()
+                         << "via " << static_cast<int>(via) << ", then "
+                         << static_cast<int>(then));
+            Platform plat;
+            const DeviceId a =
+                plat.addAccelerator("a0", accel::Domain::FFT, doubler);
+            const DeviceId b =
+                plat.addAccelerator("a1", accel::Domain::SVM, doubler);
+            integrity::IntegrityPlan plan;
+            if (then == Then::Flip) {
+                plan.scriptPayload(0, 13); // byte 1, bit 5
+                plat.setIntegrityPlan(&plan);
+            }
+            Context ctx = plat.createContext();
+            Bytes payload(4096);
+            for (std::size_t i = 0; i < payload.size(); ++i)
+                payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+            const BufferId src = ctx.createBuffer(payload);
+            const BufferId dst = ctx.createBuffer();
+
+            bool ok = false;
+            switch (via) {
+              case Via::Queue: {
+                const Event ev = ctx.queue(a).enqueueCopy(src, dst, b);
+                ctx.finish();
+                ok = ev.ok();
+                break;
+              }
+              case Via::Chain: {
+                const ChainEvent ev = enqueueChain(
+                    ctx, {{ChainOp::Kind::Copy, a, b, src, dst, {}}});
+                ctx.finish();
+                ok = ev.ok();
+                break;
+              }
+              case Via::Batch: {
+                BatchOp member;
+                member.kind = BatchOp::Kind::Copy;
+                member.device = a;
+                member.dst_device = b;
+                member.in = src;
+                member.out = dst;
+                const BatchEvent ev = submitBatch(ctx, {member});
+                ctx.finish();
+                ok = ev.ok();
+                break;
+              }
+            }
+            ASSERT_TRUE(ok);
+            EXPECT_EQ(ctx.read(src), payload);
+
+            const Bytes other(16, 0xa5);
+            switch (then) {
+              case Then::WriteSource:
+                EXPECT_EQ(ctx.read(dst).data(), ctx.read(src).data());
+                ctx.write(src, other);
+                EXPECT_EQ(ctx.read(src), other);
+                EXPECT_EQ(ctx.read(dst), payload);
+                break;
+              case Then::WriteDestination:
+                EXPECT_EQ(ctx.read(dst).data(), ctx.read(src).data());
+                ctx.write(dst, other);
+                EXPECT_EQ(ctx.read(dst), other);
+                EXPECT_EQ(ctx.read(src), payload);
+                break;
+              case Then::Flip: {
+                EXPECT_EQ(plan.stats().payload_flips, 1u);
+                EXPECT_NE(ctx.read(dst).data(), ctx.read(src).data());
+                Bytes flipped = payload;
+                flipped[1] ^= static_cast<std::uint8_t>(1u << 5);
+                EXPECT_EQ(ctx.read(dst), flipped);
+                break;
+              }
+            }
+        }
+    }
 }
 
 TEST(Runtime, EndToEndSoundPipeline)
